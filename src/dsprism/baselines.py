@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfn import ENUM_CAP, GroundSetError, set_of
+from .bound import binary_points
+from .setfn import ENUM_CAP, GroundSetError, as_table, set_of
 
 
 def modular_lower_bound(g, current_mask, perm):
@@ -35,18 +36,12 @@ def modular_lower_bound(g, current_mask, perm):
     return weights, const
 
 
-def _modular_min(f, weights, const):
-    """Exact minimizer of f(A) - h(A) for the modular h, by enumeration."""
-    n = f.n
-    best_mask = 0
-    best = f(0) - const
-    for m in range(1, 1 << n):
-        h = const + sum(weights[i] for i in range(n) if (m >> i) & 1)
-        v = f(m) - h
-        if v < best:
-            best = v
-            best_mask = m
-    return best_mask, best
+def _modular_min(fvals, weights, const):
+    """Exact minimizer of f(A) - h(A) for the modular h, over the table of f;
+    ties to the smallest mask."""
+    v = fvals - (const + binary_points(len(weights)) @ weights)
+    m = int(np.argmin(v))  # first min: smallest mask
+    return m, float(v[m])
 
 
 @dataclass
@@ -68,6 +63,7 @@ def ssp(f, g, init=0, seed=0):
     n = f.n
     if n > ENUM_CAP:
         raise GroundSetError("ground set too large for the exhaustive inner step")
+    fvals = as_table(f).table_values
     rng = random.Random(seed)
     current = int(init)
     value = f(current) - g(current)
@@ -79,7 +75,7 @@ def ssp(f, g, init=0, seed=0):
         rng.shuffle(rest)
         perm = inside + rest
         weights, const = modular_lower_bound(g, current, perm)
-        cand, _ = _modular_min(f, weights, const)
+        cand, _ = _modular_min(fvals, weights, const)
         cand_val = f(cand) - g(cand)
         if cand_val < value - 1e-12:
             current, value = cand, cand_val

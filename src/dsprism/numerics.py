@@ -1,7 +1,8 @@
-"""Small dense linear-algebra kernel: LU solves, least squares, Jacobi eigenvalues.
+"""Dense linear algebra: the LU factorization the simplex geometry reuses,
+and validated numpy.linalg calls for determinants, least squares and
+symmetric eigenvalues.
 
-Everything here is deterministic and sized for desk-scale problems
-(matrices up to a few hundred rows). No external solver dependencies.
+Square inputs are checked to be finite and at most MAX_DIM on a side.
 """
 
 import numpy as np
@@ -67,35 +68,15 @@ def lu_solve(A, b):
     return lu_solve_factored(LU, piv, b)
 
 
-def inverse(A):
-    A = _as_square(A)
-    LU, piv = lu_factor(A)
-    return lu_solve_factored(LU, piv, np.eye(A.shape[0]))
-
-
 def det(A):
-    """Determinant via elimination with partial pivoting; returns 0.0 for
-    numerically singular input instead of raising."""
-    M = _as_square(A).copy()
-    n = M.shape[0]
-    sign = 1.0
-    val = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(M[k:, k])))
-        if M[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            M[[k, p]] = M[[p, k]]
-            sign = -sign
-        val *= M[k, k]
-        M[k + 1:, k + 1:] -= np.outer(M[k + 1:, k] / M[k, k], M[k, k + 1:])
-    return sign * val
+    """Determinant via numpy's LU; a zero pivot gives 0.0 rather than an error."""
+    return float(np.linalg.det(_as_square(A)))
 
 
 def least_squares(X, y):
     """Minimize ||y - X w||^2.  Returns (w, residual_sq).
 
-    Normal equations with a 1e-10 ridge; zero-column X returns (empty, ||y||^2).
+    Zero-column X returns (empty, ||y||^2).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -103,66 +84,14 @@ def least_squares(X, y):
         raise ValueError("X must be 2-d")
     if X.shape[1] == 0:
         return np.zeros(0), float(y @ y)
-    G = X.T @ X + 1e-10 * np.eye(X.shape[1])
-    w = lu_solve(G, X.T @ y)
+    w = np.linalg.lstsq(X, y, rcond=None)[0]
     r = y - X @ w
-    return w, max(float(r @ r), 0.0)
-
-
-def sym_eig_decomp(A, max_sweeps=60):
-    """Cyclic Jacobi for a symmetric matrix.  Returns (eigvals ascending, Q)
-    with A ~ Q diag(vals) Q^T, sorted columns matching the values."""
-    A = _as_square(A)
-    if not np.allclose(A, A.T, atol=1e-10):
-        raise ValueError("matrix is not symmetric within 1e-10")
-    n = A.shape[0]
-    M = 0.5 * (A + A.T)
-    Q = np.eye(n)
-    fro = float(np.linalg.norm(M))
-    if n <= 1 or fro == 0.0:
-        vals = np.diag(M).copy()
-        order = np.argsort(vals, kind="stable")
-        return vals[order], Q[:, order]
-    target = 1e-12 * fro
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(M - np.diag(np.diag(M))))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                if abs(apq) <= 0.01 * target / (n * n):
-                    continue
-                tau = (M[q, q] - M[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                elif abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(tau * tau + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                colp = M[:, p].copy()
-                colq = M[:, q].copy()
-                M[:, p] = c * colp - s * colq
-                M[:, q] = s * colp + c * colq
-                rowp = M[p, :].copy()
-                rowq = M[q, :].copy()
-                M[p, :] = c * rowp - s * rowq
-                M[q, :] = s * rowp + c * rowq
-                M[p, q] = M[q, p] = 0.0
-                qp = Q[:, p].copy()
-                qq = Q[:, q].copy()
-                Q[:, p] = c * qp - s * qq
-                Q[:, q] = s * qp + c * qq
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-    vals = np.diag(M).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], Q[:, order]
+    return w, float(r @ r)
 
 
 def sym_eigs(A):
     """Eigenvalues of a symmetric matrix, ascending."""
-    vals, _ = sym_eig_decomp(A)
-    return vals
+    A = _as_square(A)
+    if not np.allclose(A, A.T, atol=1e-10):
+        raise ValueError("matrix is not symmetric within 1e-10")
+    return np.linalg.eigvalsh(A)

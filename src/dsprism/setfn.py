@@ -202,12 +202,15 @@ def gaussian_entropy(sigma):
 
 
 def table(n, values):
-    """Explicit table of 2^n values, indexed by mask."""
+    """Explicit table of 2^n finite values, indexed by mask."""
     vals = [float(v) for v in values]
     if len(vals) != 1 << n:
         raise ValueError("table must have exactly 2^n values")
-
     arr = np.array(vals)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError("set-function value at mask %d is %r; values must be finite"
+                         % (bad[0], vals[bad[0]]))
 
     def fn(mask):
         return vals[mask]
@@ -372,17 +375,9 @@ def brute_force_ds_min(f, g):
     """Exact minimizer of f - g by enumeration; ties to the smallest mask."""
     if f.n != g.n:
         raise GroundSetError("oracles live on different ground sets")
-    n = f.n
-    if n > ENUM_CAP:
-        raise GroundSetError("ground set too large for exhaustive enumeration")
-    best_mask = 0
-    best_val = f(0) - g(0)
-    for m in range(1, 1 << n):
-        v = f(m) - g(m)
-        if v < best_val:
-            best_val = v
-            best_mask = m
-    return best_mask, best_val
+    diff = as_table(f).table_values - as_table(g).table_values
+    m = int(np.argmin(diff))  # first min: smallest mask
+    return m, float(diff[m])
 
 
 def max_submodularity_violation(oracle):
@@ -427,13 +422,4 @@ def ds_decompose(f, g, slack=1e-9):
 
 def is_submodular(oracle, tol=1e-9):
     """Exhaustive four-point check; only sensible for small n."""
-    n = oracle.n
-    if n > 12:
-        raise GroundSetError("four-point check is exhaustive; n too large")
-    vals = np.array([oracle(m) for m in range(1 << n)])
-    masks = np.arange(1 << n)
-    A = masks[:, None]
-    B = masks[None, :]
-    lhs = vals[A] + vals[B]
-    rhs = vals[A | B] + vals[A & B]
-    return bool(np.all(lhs >= rhs - tol))
+    return max_submodularity_violation(oracle) <= tol

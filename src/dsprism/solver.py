@@ -4,6 +4,7 @@ deletion rules.
 """
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -28,8 +29,10 @@ class SolverConfig:
     trace_level: int = 1
 
     def __post_init__(self):
-        if self.eps < 0 or self.feas_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("eps", "feas_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError("%s must be finite and nonnegative, got %r" % (name, value))
 
 
 @dataclass
@@ -40,7 +43,6 @@ class Node:
     depth: int
     id: int
     rows_seen: int  # P row count the stored bound was computed against
-    alive: bool = True
 
 
 @dataclass
@@ -154,6 +156,26 @@ def solve(f, g, config=None, observer=None):
             _emit(observer, "incumbent", mask=inc_mask, value=inc_val,
                   iteration=iteration)
 
+    def classify(res, beta):
+        """Deletion rule that closes a region whose bound program gave res
+        (None: only the stored bound beta is tested), or None to keep it."""
+        if res is not None and res.status == INFEASIBLE:
+            return "dr1"
+        if res is not None and res.c_star <= 0.0:
+            return "dr2"
+        if beta >= inc_val - eps_eff():
+            return "bound"
+        return None
+
+    def close(nid, reason, S, beta):
+        """Delete a region; all but dr1 (empty region) certify beta."""
+        active.pop(nid, None)
+        deleted[reason] += 1
+        if reason != "dr1":
+            closed_bounds.append(beta)
+        _emit(observer, "delete", node_id=nid, reason=reason, simplex=S,
+              bound_value=beta, alpha=inc_val)
+
     def bound_child(S, parent_beta, parent_depth):
         """Solve the bound problem for a child simplex; returns (node_or_None,
         trace entry).  Deleted children close their region with a certified
@@ -167,29 +189,12 @@ def solve(f, g, config=None, observer=None):
         update_incumbent(res.feasible_points)
         _emit(observer, "node_bound", node_id=nid, simplex=S, polyhedron=P,
               levels=levels, bound=res, alpha=inc_val, parent_beta=parent_beta)
+        beta = max(parent_beta, res.beta)  # inf when infeasible
+        reason = classify(res, beta)
         entry = {"id": nid, "status": res.status, "c_star": res.c_star,
-                 "beta": None, "deleted_by": None}
-        if res.status == INFEASIBLE:
-            deleted["dr1"] += 1
-            entry["deleted_by"] = "dr1"
-            _emit(observer, "delete", node_id=nid, reason="dr1", simplex=S,
-                  bound_value=np.inf, alpha=inc_val)
-            return None, entry
-        beta = max(parent_beta, res.beta)
-        entry["beta"] = beta
-        if res.c_star <= 0.0:
-            deleted["dr2"] += 1
-            entry["deleted_by"] = "dr2"
-            closed_bounds.append(beta)
-            _emit(observer, "delete", node_id=nid, reason="dr2", simplex=S,
-                  bound_value=beta, alpha=inc_val)
-            return None, entry
-        if beta >= inc_val - eps_eff():
-            deleted["bound"] += 1
-            entry["deleted_by"] = "bound"
-            closed_bounds.append(beta)
-            _emit(observer, "delete", node_id=nid, reason="bound", simplex=S,
-                  bound_value=beta, alpha=inc_val)
+                 "beta": None if reason == "dr1" else beta, "deleted_by": reason}
+        if reason is not None:
+            close(nid, reason, S, beta)
             return None, entry
         node = Node(prism=Prism(S), beta=beta, bound=res, depth=parent_depth + 1,
                     id=nid, rows_seen=P.num_rows)
@@ -220,44 +225,24 @@ def solve(f, g, config=None, observer=None):
         while active:
             beta_k, nid = heap[0]
             cand = active.get(nid)
-            if cand is None or not cand.alive or cand.beta != beta_k:
+            if cand is None or cand.beta != beta_k:
                 heapq.heappop(heap)
                 continue
             heapq.heappop(heap)
-            if cand.beta >= inc_val - eps_eff():
-                del active[nid]
-                deleted["bound"] += 1
-                closed_bounds.append(cand.beta)
-                _emit(observer, "delete", node_id=nid, reason="bound",
-                      simplex=cand.prism.base, bound_value=cand.beta, alpha=inc_val)
+            S = cand.prism.base
+            if classify(None, cand.beta):
+                close(nid, "bound", S, cand.beta)
                 continue
             if P.num_rows > cand.rows_seen:
-                S = cand.prism.base
                 levels = vertex_levels(S, inc_val, ft, gt, ghat_cache)
                 res = solve_bound(S, P, levels, ft, gt, feas_tol=cfg.feas_tol)
                 update_incumbent(res.feasible_points)
                 cand.rows_seen = P.num_rows
-                if res.status == INFEASIBLE:
-                    del active[nid]
-                    deleted["dr1"] += 1
-                    _emit(observer, "delete", node_id=nid, reason="dr1", simplex=S,
-                          bound_value=np.inf, alpha=inc_val)
-                    continue
-                new_beta = max(cand.beta, res.beta)
                 cand.bound = res
-                if res.c_star <= 0.0:
-                    del active[nid]
-                    deleted["dr2"] += 1
-                    closed_bounds.append(new_beta)
-                    _emit(observer, "delete", node_id=nid, reason="dr2", simplex=S,
-                          bound_value=new_beta, alpha=inc_val)
-                    continue
-                if new_beta >= inc_val - eps_eff():
-                    del active[nid]
-                    deleted["bound"] += 1
-                    closed_bounds.append(new_beta)
-                    _emit(observer, "delete", node_id=nid, reason="bound",
-                          simplex=S, bound_value=new_beta, alpha=inc_val)
+                new_beta = max(cand.beta, res.beta)  # inf when infeasible
+                reason = classify(res, new_beta)
+                if reason is not None:
+                    close(nid, reason, S, new_beta)
                     continue
                 if new_beta > cand.beta:
                     # tightened but maybe no longer the best node: reinsert
@@ -318,18 +303,12 @@ def solve(f, g, config=None, observer=None):
 
         # prune the pool eagerly when the incumbent improved (otherwise the
         # lazy check at selection time covers it)
-        cutoff = inc_val - eps_eff()
         pruned = []
         for oid in (list(active) if inc_val < alpha_before else ()):
             other = active[oid]
-            if other.beta >= cutoff:
-                other.alive = False
-                del active[oid]
-                deleted["bound"] += 1
-                closed_bounds.append(other.beta)
+            if classify(None, other.beta):
+                close(oid, "bound", other.prism.base, other.beta)
                 pruned.append(oid)
-                _emit(observer, "delete", node_id=oid, reason="bound",
-                      simplex=other.prism.base, bound_value=other.beta, alpha=inc_val)
 
         if cfg.trace_level >= 1:
             trace.append({"iter": iteration, "node_id": nid, "beta": beta_k,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dsprism import setfn
-from dsprism.baselines import greedy, modular_lower_bound, ssp
+from dsprism.baselines import _modular_min, greedy, modular_lower_bound, ssp
 from dsprism.experiments import gen_random_ds
 from dsprism.setfn import as_table, brute_force_ds_min, mask_of
 from dsprism.solver import solve
@@ -33,6 +33,18 @@ def test_modular_lower_bound_validates_inputs():
         modular_lower_bound(g, 0, [0, 0, 1])
     with pytest.raises(ValueError):
         modular_lower_bound(g, 0b001, [1, 0, 2])  # current not a prefix
+
+
+def test_modular_min_matches_loop():
+    rng = np.random.default_rng(1)
+    fvals = rng.normal(size=32)
+    weights, const = rng.normal(size=5), 0.3
+    vals = [fvals[m] - (const + sum(weights[i] for i in range(5) if (m >> i) & 1))
+            for m in range(32)]
+    mask, val = _modular_min(fvals, weights, const)
+    assert mask == int(np.argmin(vals))
+    assert val == pytest.approx(min(vals), abs=1e-12)
+    assert _modular_min(np.zeros(8), np.zeros(3), 0.0) == (0, 0.0)  # smallest mask on ties
 
 
 def test_ssp_worked_n1():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from dsprism.numerics import (SingularMatrixError, det, inverse, least_squares,
-                              lu_factor, lu_solve, lu_solve_factored, sym_eig_decomp,
-                              sym_eigs)
+from dsprism.numerics import (SingularMatrixError, det, least_squares, lu_factor,
+                              lu_solve, lu_solve_factored, sym_eigs)
 
 
 def test_lu_solve_matches_numpy():
@@ -30,12 +29,6 @@ def test_lu_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
         lu_factor(A)
-
-
-def test_inverse():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((7, 7))
-    assert np.allclose(inverse(A) @ A, np.eye(7), atol=1e-9)
 
 
 def test_det_matches_numpy_and_singular_is_zero():
@@ -63,15 +56,13 @@ def test_least_squares_empty_design():
     assert res == pytest.approx(float(y @ y))
 
 
-def test_jacobi_eigendecomposition():
+def test_sym_eigs_matches_eigvalsh():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 6, 10, 20):
         M = rng.standard_normal((n, n))
         A = M + M.T
-        vals, Q = sym_eig_decomp(A)
+        vals = sym_eigs(A)
         assert np.all(np.diff(vals) >= -1e-12)  # ascending
-        assert np.allclose(Q @ np.diag(vals) @ Q.T, A, atol=1e-8)
-        assert np.allclose(Q.T @ Q, np.eye(n), atol=1e-8)
         assert np.allclose(vals, np.linalg.eigvalsh(A), atol=1e-8)
 
 

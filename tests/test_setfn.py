@@ -113,6 +113,17 @@ def test_table_roundtrip_and_spec():
     assert [rebuilt(m) for m in range(4)] == vals
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected_with_mask(bad):
+    vals = [0.0, 1.0, 2.0, 3.0, 4.0, bad, 6.0, bad]
+    with pytest.raises(ValueError, match="mask 5 "):
+        setfn.table(3, vals)
+    # an oracle that computes a non-finite value fails when tabulated
+    f = setfn.SetFunction(3, lambda m: vals[m], name="bad")
+    with pytest.raises(ValueError, match="mask 5 "):
+        as_table(f)
+
+
 def test_coverage_values():
     f = setfn.coverage(2, [1.0, 2.0, 4.0], [[0, 1], [1, 2]])
     assert f(0) == 0.0

@@ -64,6 +64,24 @@ def test_ground_set_mismatch():
         solve(setfn.modular([1.0]), setfn.modular([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("field", ["eps", "feas_tol"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9])
+def test_config_rejects_bad_tolerances(field, bad):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_oracle_values(bad):
+    vals = [0.0, 1.0, 2.0, bad]
+    f = setfn.SetFunction(2, lambda m: vals[m], name="bad")
+    g = setfn.modular([0.5, 0.5])
+    with pytest.raises(ValueError, match="mask 3 "):
+        solve(f, g)
+    with pytest.raises(ValueError, match="mask 3 "):
+        solve(g, f)
+
+
 def test_cutting_plane_worked_example():
     f = setfn.table(1, [0.0, 1.0])
     s, c, d = cutting_plane(f, np.array([1.0]), 0.0)
