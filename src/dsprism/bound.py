@@ -4,30 +4,21 @@ binary points of a simplex, and the resulting prism lower bound.
 The program is solved exactly by enumerating all binary x whose barycentric
 coordinates are nonnegative in the simplex.  For each such x the barycentric
 weights are unique, and the objective sum(t_i lambda_i) - t is maximized at
-the smallest t the polyhedron admits at x.
+the smallest t the polyhedron admits at x.  That t_lo(x), with the
+feasibility of x, is read by mask from ``Polyhedron.binary_bounds``: the
+polyhedron's storage keeps it for every binary point and evaluates each row
+there once, when the row is first needed.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import hyperplane_through
+from .geometry import binary_points, hyperplane_through
 from .setfn import lovasz
 
 BINARY_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-12
-
-_binary_grid_cache = {}
-
-
-def binary_points(n):
-    """All 2^n binary vectors as a (2^n, n) array, mask-ascending rows."""
-    if n not in _binary_grid_cache:
-        masks = np.arange(1 << n)
-        grid = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-        grid.setflags(write=False)
-        _binary_grid_cache[n] = grid
-    return _binary_grid_cache[n]
 
 
 @dataclass(frozen=True)
@@ -111,29 +102,23 @@ def solve_bound(S, P, levels, f, g, feas_tol=1e-9):
     inside = np.min(lam, axis=1) >= -MEMBERSHIP_TOL
     mu = levels.mu
 
-    neg = P.a < 0
-    if not np.any(neg):
+    if not np.any(P.a < 0):
         raise ValueError("polyhedron does not bound t from below")
 
     idx = np.nonzero(inside)[0]
     if len(idx) == 0:
         return BoundResult(status=INFEASIBLE, beta=np.inf, mu=mu)
 
-    X = grid[idx]
-    lhs = X @ P.A.T  # (candidates, rows)
-    zero = P.a == 0
-    pos = P.a > 0
-    ok = np.all(lhs[:, zero] <= P.b[zero] + feas_tol, axis=1)
-    t_lo = np.max((P.b[neg] - lhs[:, neg]) / P.a[neg], axis=1)
-    if np.any(pos):
-        t_hi = np.min((P.b[pos] - lhs[:, pos]) / P.a[pos], axis=1)
-        ok &= t_lo <= t_hi + feas_tol
+    viol, t_lo, t_hi = P.binary_bounds()
+    t_lo, t_hi = t_lo[idx], t_hi[idx]
+    ok = (viol[idx] <= feas_tol) & (t_lo <= t_hi + feas_tol)
 
     if not np.any(ok):
         return BoundResult(status=INFEASIBLE, beta=np.inf, mu=mu)
 
     masks = idx[ok]
-    obj = lam[idx[ok]] @ levels.t - t_lo[ok]
+    t_lo = t_lo[ok]
+    obj = lam[masks] @ levels.t - t_lo
     j = int(np.argmax(obj))  # first max: smallest mask wins ties
     best_obj = float(obj[j])
     mask = int(masks[j])
@@ -145,13 +130,13 @@ def solve_bound(S, P, levels, f, g, feas_tol=1e-9):
         gvals = g.table_values[masks]
     else:
         gvals = np.array([g(int(m)) for m in masks])
-    direct = float(np.min(t_lo[ok] - gvals))
+    direct = float(np.min(t_lo - gvals))
     beta = mu if best_obj <= 0.0 else mu - best_obj
     beta = max(beta, direct)
     return BoundResult(status=SOLVED, beta=beta, mu=mu, c_star=best_obj,
-                       witness_x=grid[mask].copy(), witness_t=float(t_lo[ok][j]),
+                       witness_x=grid[mask].copy(), witness_t=float(t_lo[j]),
                        witness_lam=lam[mask].copy(), witness_mask=mask,
-                       feasible_points=feasible, feasible_t_lo=t_lo[ok].copy())
+                       feasible_points=feasible, feasible_t_lo=t_lo)
 
 
 def equivalence_check(S, P, levels, feas_tol=1e-9, tol=1e-8):

@@ -11,8 +11,23 @@ from .setfn import set_of
 from .solver import SolverConfig, solve
 
 
+def _load(path):
+    """The instance in the file at path, or None after saying on stderr why
+    it cannot be loaded."""
+    try:
+        return load_instance(path)
+    except KeyError as exc:
+        reason = "missing key %s" % exc
+    except (OSError, TypeError, ValueError) as exc:
+        reason = str(exc)
+    print("dsprism: cannot load instance %s: %s" % (path, reason), file=sys.stderr)
+    return None
+
+
 def _cmd_solve(args):
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
+    if inst is None:
+        return 1
     cfg = SolverConfig(eps=args.eps, max_iters=args.max_iters,
                        trace_level=2 if args.trace else 1)
     report = solve(inst.f, inst.g, cfg)
@@ -33,7 +48,9 @@ def _cmd_solve(args):
 
 
 def _cmd_baseline(args):
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
+    if inst is None:
+        return 1
     if args.method == "ssp":
         out = ssp(inst.f, inst.g, init=args.init, seed=args.seed)
         payload = {"method": "ssp", "set": set_of(out.mask), "value": out.value,

@@ -168,27 +168,148 @@ def hyperplane_through(points, heights):
     return sol[:n], float(sol[n])
 
 
-class Polyhedron:
-    """Conjunction of half-spaces A_j . x + a_j t <= b_j."""
+_binary_grid_cache = {}
 
-    __slots__ = ("A", "a", "b")
+
+def binary_points(n):
+    """All 2^n binary vectors as a (2^n, n) array, mask-ascending rows."""
+    if n not in _binary_grid_cache:
+        masks = np.arange(1 << n)
+        grid = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        grid.setflags(write=False)
+        _binary_grid_cache[n] = grid
+    return _binary_grid_cache[n]
+
+
+# float64 entries (2 MB) of the temporary that evaluates a chunk of rows at
+# all 2^n binary points: a chunk has CHUNK_ENTRIES / 2^n rows, at least one.
+# Larger chunks are no faster and raise the peak memory of n <= 12 solves.
+CHUNK_ENTRIES = 1 << 18
+
+
+def _fold_binary_bounds(A, a, b, bounds=None):
+    """(viol, t_lo, t_hi) per binary point over the rows (A, a, b), folded
+    into earlier bounds (None: over no rows), which are not modified: the
+    worst t-free row violation A.x - b, the highest lower t-limit (a < 0)
+    and the lowest upper t-limit (a > 0)."""
+    n = A.shape[1]
+    X = binary_points(n)
+    if bounds is None:
+        bounds = (np.full(1 << n, -np.inf), np.full(1 << n, -np.inf), np.full(1 << n, np.inf))
+    viol, t_lo, t_hi = (v.copy() for v in bounds)
+    step = max(1, CHUNK_ENTRIES >> n)
+    for j in range(0, len(b), step):
+        Aj, aj, bj = A[j:j + step], a[j:j + step], b[j:j + step]
+        for sel, out, pick in ((aj == 0, viol, np.maximum), (aj < 0, t_lo, np.maximum),
+                               (aj > 0, t_hi, np.minimum)):
+            if not np.any(sel):
+                continue
+            val = Aj[sel] @ X.T  # A.x, one row per row of A
+            if out is viol:
+                val -= bj[sel, None]
+            else:  # the t-limit (b - A.x) / a
+                np.subtract(bj[sel, None], val, out=val)
+                val /= aj[sel, None]
+            pick(out, pick.reduce(val, axis=0), out=out)
+    for v in (viol, t_lo, t_hi):
+        v.setflags(write=False)
+    return viol, t_lo, t_hi
+
+
+class _RowStore:
+    """Append-only rows A_j, a_j, b_j with capacity doubling, shared by the
+    polyhedra grown from one another.  The per-binary-point bounds over the
+    first ``cached`` rows are kept and extended lazily."""
+
+    __slots__ = ("A", "a", "b", "size", "cached", "bounds")
 
     def __init__(self, A, a, b):
-        self.A = np.array(A, dtype=float)
-        self.a = np.array(a, dtype=float)
-        self.b = np.array(b, dtype=float)
-        self.A.setflags(write=False)
-        self.a.setflags(write=False)
-        self.b.setflags(write=False)
+        self.A, self.a, self.b = A.copy(), a.copy(), b.copy()
+        self.size = len(b)
+        self.cached = 0
+        self.bounds = None
+
+    def append(self, A, a, b):
+        k, m = self.size, len(b)
+        if k + m > len(self.b):
+            cap = max(2 * len(self.b), k + m)
+            for name in ("A", "a", "b"):
+                old = getattr(self, name)
+                new = np.empty((cap,) + old.shape[1:])
+                new[:k] = old[:k]
+                setattr(self, name, new)
+        self.A[k:k + m] = A
+        self.a[k:k + m] = a
+        self.b[k:k + m] = b
+        self.size = k + m
+
+
+class Polyhedron:
+    """Conjunction of half-spaces A_j . x + a_j t <= b_j.
+
+    A polyhedron is the first num_rows rows of an append-only row store.
+    add_cut on the newest prefix of a store appends in place; on an older
+    prefix it copies that prefix first, so a polyhedron never changes.
+    """
+
+    __slots__ = ("_store", "_k")
+
+    def __init__(self, A, a, b):
+        self._store = _RowStore(*(np.asarray(v, dtype=float) for v in (A, a, b)))
+        self._k = self._store.size
+
+    @classmethod
+    def _prefix(cls, store, k):
+        P = object.__new__(cls)
+        P._store = store
+        P._k = k
+        return P
+
+    def _rows(self, name):
+        view = getattr(self._store, name)[:self._k]
+        view.setflags(write=False)
+        return view
+
+    A = property(lambda self: self._rows("A"))
+    a = property(lambda self: self._rows("a"))
+    b = property(lambda self: self._rows("b"))
 
     @property
     def num_rows(self):
-        return len(self.b)
+        return self._k
 
-    def with_row(self, coeff_x, coeff_t, rhs):
-        return Polyhedron(np.vstack([self.A, np.asarray(coeff_x, dtype=float)]),
-                          np.append(self.a, float(coeff_t)),
-                          np.append(self.b, float(rhs)))
+    def head(self, k):
+        """The polyhedron of the first k rows, sharing this one's storage."""
+        if not 0 <= k <= self._k:
+            raise ValueError("prefix of %d rows out of 0..%d" % (k, self._k))
+        return Polyhedron._prefix(self._store, k)
+
+    def with_rows(self, A, a, b):
+        """This polyhedron with the rows (A, a, b) appended."""
+        store = self._store
+        if self._k < store.size:
+            store = _RowStore(self.A, self.a, self.b)
+        store.append(A, a, b)
+        return Polyhedron._prefix(store, store.size)
+
+    def binary_bounds(self):
+        """(viol, t_lo, t_hi) per binary point, in mask order: the worst
+        violation of the t-free rows, the lowest t the rows with a < 0
+        admit and the highest t the rows with a > 0 admit.
+
+        Cached in the storage and extended over the rows appended since the
+        last call; a query through a prefix shorter than the cache
+        recomputes from scratch.  The arrays are read-only and never change.
+        """
+        store, k = self._store, self._k
+        if k < store.cached:
+            return _fold_binary_bounds(self.A, self.a, self.b)
+        if store.bounds is None or k > store.cached:
+            c = store.cached
+            store.bounds = _fold_binary_bounds(store.A[c:k], store.a[c:k], store.b[c:k],
+                                               store.bounds)
+            store.cached = k
+        return store.bounds
 
     def t_interval(self, x, tol=1e-9):
         """Feasible t-range at a fixed x, or None when the t-free rows reject x.
@@ -196,19 +317,20 @@ class Polyhedron:
         Raises when no row bounds t from below (a_j < 0 is required).
         """
         x = np.asarray(x, dtype=float)
+        a, b = self.a, self.b
         lhs = self.A @ x
         lo = -np.inf
         hi = np.inf
         has_lower = False
-        for j in range(len(self.b)):
-            aj = self.a[j]
+        for j in range(len(b)):
+            aj = a[j]
             if aj == 0.0:
-                if lhs[j] > self.b[j] + tol:
+                if lhs[j] > b[j] + tol:
                     return None
             elif aj > 0.0:
-                hi = min(hi, (self.b[j] - lhs[j]) / aj)
+                hi = min(hi, (b[j] - lhs[j]) / aj)
             else:
-                lo = max(lo, (self.b[j] - lhs[j]) / aj)
+                lo = max(lo, (b[j] - lhs[j]) / aj)
                 has_lower = True
         if not has_lower:
             raise ValueError("polyhedron does not bound t from below")
@@ -242,6 +364,9 @@ def initial_polyhedron(S0, t_tilde):
 
 
 def add_cut(P, cut_row):
-    """Append the row s.x + c*t <= -d encoding l(x,t) = s.x + c*t + d <= 0."""
-    s, c, d = cut_row
-    return P.with_row(s, c, -d)
+    """Append the row s.x + c*t <= -d encoding l(x,t) = s.x + c*t + d <= 0.
+
+    A block of rows is s of shape (k, n) with c and d of length k.
+    """
+    s, c, d = (np.asarray(v, dtype=float) for v in cut_row)
+    return P.with_rows(s.reshape(-1, s.shape[-1]), c.reshape(-1), -d.reshape(-1))

@@ -285,7 +285,9 @@ def as_table(oracle):
     n = oracle.n
     if n > ENUM_CAP:
         raise GroundSetError("ground set too large to tabulate")
-    vals = [oracle(m) for m in range(1 << n)]
+    vals = oracle.table_values
+    if vals is None:
+        vals = [oracle(m) for m in range(1 << n)]
     out = table(n, vals)
     out.name = "table(%s)" % oracle.name
     out.submodular = oracle.submodular
@@ -297,26 +299,19 @@ def as_table(oracle):
 
 
 def _chain_order(x):
-    # nonincreasing values, ties broken by ascending index
-    x = np.asarray(x, dtype=float)
-    return np.lexsort((np.arange(len(x)), -x))
+    # nonincreasing values, ties broken by ascending index; one order per
+    # row when x is a block of points
+    return np.argsort(-np.asarray(x, dtype=float), axis=-1, kind="stable")
 
 
 def _chain_values(oracle, order):
     """Values of the oracle along the prefix chain of an element order,
-    starting from the empty set: n+1 values."""
-    n = oracle.n
+    starting from the empty set: n+1 values per order (last axis)."""
+    chain = np.cumsum(np.left_shift(1, order), axis=-1)
+    chain = np.concatenate([np.zeros_like(chain[..., :1]), chain], axis=-1)
     if oracle.table_values is not None:
-        chain = np.cumsum(np.left_shift(1, order))
-        return np.concatenate([[oracle.table_values[0]],
-                               oracle.table_values[chain]])
-    out = np.empty(n + 1)
-    out[0] = oracle(0)
-    mask = 0
-    for j in range(n):
-        mask |= 1 << int(order[j])
-        out[j + 1] = oracle(mask)
-    return out
+        return oracle.table_values[chain]
+    return np.array([oracle(int(m)) for m in chain.ravel()]).reshape(chain.shape)
 
 
 def lovasz(oracle, x):
@@ -337,15 +332,14 @@ def lovasz(oracle, x):
 
 
 def lovasz_subgradient(oracle, x):
-    """Edmonds greedy subgradient of the Lovász extension at x."""
+    """Edmonds greedy subgradient of the Lovász extension at x, or one per
+    row when x is a (k, n) block of points."""
     x = np.asarray(x, dtype=float)
-    n = oracle.n
-    if len(x) != n:
+    if x.shape[-1] != oracle.n:
         raise GroundSetError("point has wrong dimension")
     order = _chain_order(x)
-    cv = _chain_values(oracle, order)
-    s = np.empty(n)
-    s[order] = np.diff(cv)
+    s = np.empty_like(x)
+    np.put_along_axis(s, order, np.diff(_chain_values(oracle, order), axis=-1), axis=-1)
     return s
 
 
@@ -386,11 +380,13 @@ def max_submodularity_violation(oracle):
     n = oracle.n
     if n > 12:
         raise GroundSetError("four-point check is exhaustive; n too large")
-    vals = np.array([oracle(m) for m in range(1 << n)])
-    masks = np.arange(1 << n)
-    A = masks[:, None]
-    B = masks[None, :]
-    return float(np.max(vals[A | B] + vals[A & B] - vals[A] - vals[B]))
+    vals = oracle.table_values
+    if vals is None:
+        vals = np.array([oracle(m) for m in range(1 << n)])
+    B = np.arange(1 << n)
+    # about 64 sets A at a time: temporaries of ~64 x 2^n entries, not 2^n x 2^n
+    return max(float(np.max(vals[A | B] + vals[A & B] - vals[A] - vals[B]))
+               for A in np.array_split(B[:, None], max(1, len(B) // 64)))
 
 
 def ds_decompose(f, g, slack=1e-9):
@@ -412,8 +408,8 @@ def ds_decompose(f, g, slack=1e-9):
     M = 0.5 * viol * (1.0 + 1e-6) + slack
     card = np.array([bin(m).count("1") for m in range(1 << n)])
     q = M * card * (n - card)
-    f2 = table(n, [ft(m) + q[m] for m in range(1 << n)])
-    g2 = table(n, [gt(m) + q[m] for m in range(1 << n)])
+    f2 = table(n, ft.table_values + q)
+    g2 = table(n, gt.table_values + q)
     f2.submodular = g2.submodular = True
     f2.name = "repaired(%s)" % f.name
     g2.name = "repaired(%s)" % g.name

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import geometry
 from .bound import INFEASIBLE, solve_bound, vertex_levels
-from .geometry import (Prism, add_cut, barycentric, bisect, initial_polyhedron,
-                       initial_simplex, radial_subdivide)
-from .setfn import (GroundSetError, as_table, brute_force_min, indicator, lovasz,
+from .geometry import (Prism, add_cut, barycentric, binary_points, bisect,
+                       initial_polyhedron, initial_simplex, radial_subdivide)
+from .setfn import (GroundSetError, as_table, brute_force_min, lovasz,
                     lovasz_subgradient, set_of)
 
 
@@ -81,14 +81,37 @@ def cutting_plane(f, x_star, t_star, feas_tol=1e-9):
 
     Returns (s, c, d) encoding l(x, t) = s.x + c*t + d <= 0 with
     l(z) = fhat(x*) - t* > 0 and l <= 0 on the whole epigraph region.
+
+    Given a (k, n) block of binary points x* and their k levels t*, returns
+    one cut per point, s of shape (k, n) and c, d of length k, in one pass
+    over the oracle's chains: at a binary point the Edmonds chain takes the
+    point's ones in ascending order, then its zeros.
     """
     x_star = np.asarray(x_star, dtype=float)
+    if x_star.ndim == 2:
+        return _binary_cutting_planes(f, x_star, np.asarray(t_star, dtype=float), feas_tol)
     fhat = lovasz(f, x_star)
     if fhat <= t_star + feas_tol:
         raise ValueError("cutting plane requested at a feasible point")
     s = lovasz_subgradient(f, x_star)
     d = fhat - float(s @ x_star)
     return s, -1.0, d
+
+
+def _binary_cutting_planes(f, X, t_star, feas_tol):
+    if not np.all((X == 0.0) | (X == 1.0)):
+        raise ValueError("a block of cutting planes needs binary points")
+    masks = (X @ np.left_shift(1, np.arange(f.n))).astype(np.int64)
+    if f.table_values is not None:
+        fhat = f.table_values[masks]
+    else:
+        fhat = np.array([f(int(m)) for m in masks])
+    if np.any(fhat <= t_star + feas_tol):
+        raise ValueError("cutting plane requested at a feasible point")
+    s = lovasz_subgradient(f, X)
+    # one s @ x per point, as the single-point cut takes it (an einsum sums
+    # in another order and moves d in the last digits)
+    return s, np.full(len(X), -1.0), fhat - np.matmul(s[:, None, :], X[:, :, None])[:, 0, 0]
 
 
 def _emit(observer, event, **data):
@@ -139,7 +162,7 @@ def solve(f, g, config=None, observer=None):
     active = {}
     next_id = 0
     ghat_cache = {}
-    cut_masks = set()
+    cut_done = np.zeros(1 << n, dtype=bool)  # binary points cut at so far
 
     def update_incumbent(points):
         nonlocal inc_mask, inc_val
@@ -267,20 +290,25 @@ def solve(f, g, config=None, observer=None):
         # separate every binary point of the node the outer approximation
         # still underestimates (the witness among them); each such cut is
         # strictly separating, and each point needs one cut ever
-        added_here = 0
-        for (m, fval), tlo in zip(res.feasible_points, res.feasible_t_lo):
-            if m in cut_masks or fval <= tlo + cfg.feas_tol:
-                continue
-            xm = indicator(m, n)
-            row = cutting_plane(ft, xm, tlo, feas_tol=cfg.feas_tol)
-            P_before = P
-            P = add_cut(P, row)
-            cuts_added += 1
-            added_here += 1
-            cut_masks.add(m)
-            _emit(observer, "cut", row=row, z=(xm, tlo), violation=fval - tlo,
-                  polyhedron_before=P_before, polyhedron_after=P)
-        action = "cut" if added_here else "nocut"
+        masks = np.fromiter((p[0] for p in res.feasible_points), dtype=np.int64,
+                            count=len(res.feasible_points))
+        t_lo = res.feasible_t_lo
+        need = (ft.table_values[masks] > t_lo + cfg.feas_tol) & ~cut_done[masks]
+        masks, t_lo = masks[need], t_lo[need]
+        if len(masks):
+            X = binary_points(n)[masks]
+            S_cut, c_cut, d_cut = cutting_plane(ft, X, t_lo, feas_tol=cfg.feas_tol)
+            k = P.num_rows
+            P = add_cut(P, (S_cut, c_cut, d_cut))
+            cut_done[masks] = True
+            cuts_added += len(masks)
+            if observer is not None:
+                for j in range(len(masks)):
+                    _emit(observer, "cut", row=(S_cut[j], float(c_cut[j]), float(d_cut[j])),
+                          z=(X[j], t_lo[j]), violation=ft.table_values[masks[j]] - t_lo[j],
+                          polyhedron_before=P.head(k + j),
+                          polyhedron_after=P.head(k + j + 1))
+        action = "cut" if len(masks) else "nocut"
 
         # subdivide at the witness so it becomes a vertex of every child:
         # together with the cut this caps its bound contribution at

@@ -7,7 +7,9 @@ from dsprism import setfn
 from dsprism.bound import (INFEASIBLE, SOLVED, binary_points,
                            binary_vertex_indices, compute_mu, equivalence_check,
                            solve_bound, vertex_levels)
-from dsprism.geometry import Simplex, add_cut, initial_polyhedron, initial_simplex
+from dsprism.geometry import (Polyhedron, Simplex, add_cut, initial_polyhedron,
+                              initial_simplex)
+from dsprism.setfn import indicator, lovasz, lovasz_subgradient
 
 
 def worked_instance():
@@ -74,7 +76,6 @@ def test_bound_monotone_in_polyhedron():
     P = initial_polyhedron(S, t_tilde=0.0)
     levels = vertex_levels(S, 0.0, f, g)
     prev = solve_bound(S, P, levels, f, g).beta
-    from dsprism.setfn import indicator, lovasz, lovasz_subgradient
     for mask in (1, 3, 5):
         x = indicator(mask, n)
         s = lovasz_subgradient(f, x)
@@ -97,7 +98,6 @@ def test_infeasible_when_no_binary_point():
 
 def test_solve_bound_requires_floor_row():
     f, g, S, _ = worked_instance()
-    from dsprism.geometry import Polyhedron
     P = Polyhedron(np.array([[1.0]]), np.array([0.0]), np.array([1.0]))
     levels = vertex_levels(S, -1.0, f, g)
     with pytest.raises(ValueError):
@@ -136,3 +136,36 @@ def test_determinism():
     b = solve_bound(S, P, levels, f, g)
     assert a.beta == b.beta and a.c_star == b.c_star
     assert a.witness_mask == b.witness_mask
+
+
+def assert_same_bound(a, b):
+    assert (a.status, a.beta, a.c_star, a.witness_mask) == (b.status, b.beta, b.c_star,
+                                                            b.witness_mask)
+    assert a.feasible_points == b.feasible_points
+    assert np.array_equal(a.feasible_t_lo, b.feasible_t_lo)
+
+
+def test_solve_bound_on_grown_polyhedron_matches_fresh():
+    # the storage cache, extended cut by cut, against a polyhedron built in
+    # one piece; then an older prefix (recomputed) and the newest again
+    rng = np.random.default_rng(2)
+    n = 4
+    f = setfn.as_table(setfn.cut(n, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.8), (0, 3, 0.3)]))
+    g = setfn.as_table(setfn.modular(rng.normal(size=n)))
+    S = initial_simplex(n)
+    sub = Simplex(np.array([[0.0] * n] + [list(2.0 * np.eye(n)[i]) for i in range(n)]))
+    levels = {T: vertex_levels(T, 0.0, f, g) for T in (S, sub)}
+    P = initial_polyhedron(S, t_tilde=-3.0)
+    grown = [P]
+    for mask in (3, 5, 6, 9, 12, 15):
+        x = indicator(mask, n)
+        s = lovasz_subgradient(f, x)
+        P = add_cut(P, (s, -1.0, lovasz(f, x) - float(s @ x)))
+        grown.append(P)
+        for T in (S, sub):
+            assert_same_bound(solve_bound(T, P, levels[T], f, g),
+                              solve_bound(T, Polyhedron(P.A, P.a, P.b), levels[T], f, g))
+    for Q in (grown[2], grown[-1], grown[0], grown[-1]):
+        for T in (S, sub):
+            assert_same_bound(solve_bound(T, Q, levels[T], f, g),
+                              solve_bound(T, Polyhedron(Q.A, Q.a, Q.b), levels[T], f, g))

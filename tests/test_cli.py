@@ -71,3 +71,26 @@ def test_verify_command(capsys):
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         main([])
+
+
+MODULAR = '{"type": "modular", "weights": [1.0]}'
+
+
+@pytest.mark.parametrize("command", [["solve"], ["baseline", "--method", "greedy"]],
+                         ids=["solve", "baseline"])
+@pytest.mark.parametrize("text, reason", [
+    pytest.param("{not json", "Expecting property name", id="invalid_json"),
+    pytest.param('{"f": %s, "g": %s}' % (MODULAR, MODULAR), "missing key 'n'", id="no_n"),
+    pytest.param('{"n": 1, "g": %s}' % MODULAR, "missing key 'f'", id="no_f"),
+    pytest.param('{"n": 1, "f": %s}' % MODULAR, "missing key 'g'", id="no_g"),
+    pytest.param('{"n": 1, "f": {"type": "matroid"}, "g": %s}' % MODULAR,
+                 "unknown set-function type 'matroid'", id="unknown_type"),
+])
+def test_malformed_instance_exits_with_message(command, text, reason, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(command + ["--instance", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dsprism: cannot load instance %s: " % path)
+    assert reason in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dsprism.geometry import (DegenerateSimplexError, Polyhedron, Simplex, add_cut,
-                              barycentric, bisect, hyperplane_through,
+                              barycentric, binary_points, bisect, hyperplane_through,
                               initial_polyhedron, initial_simplex, longest_edge,
                               radial_subdivide)
 from dsprism.setfn import indicator
@@ -159,3 +159,52 @@ def test_add_cut_appends_row():
     assert P2.num_rows == rows + 1
     assert P.num_rows == rows  # original untouched
     assert P2.b[-1] == -0.25
+
+
+def random_cuts(n, k, rng):
+    return rng.normal(size=(k, n)), -np.ones(k), rng.normal(size=k)
+
+
+def test_add_cut_twice_on_same_polyhedron_is_independent():
+    rng = np.random.default_rng(6)
+    P = initial_polyhedron(initial_simplex(3), t_tilde=-1.0)
+    A, a, b = P.A.copy(), P.a.copy(), P.b.copy()
+    S, c, d = random_cuts(3, 2, rng)
+    P1 = add_cut(P, (S[0], c[0], d[0]))
+    P2 = add_cut(P, (S[1], c[1], d[1]))
+    for Q, j in ((P1, 0), (P2, 1)):
+        assert Q.num_rows == len(b) + 1
+        assert np.array_equal(Q.A[:-1], A) and np.array_equal(Q.b[:-1], b)
+        assert np.array_equal(Q.A[-1], S[j]) and Q.b[-1] == -d[j]
+    assert P.num_rows == len(b)
+    assert np.array_equal(P.A, A) and np.array_equal(P.a, a) and np.array_equal(P.b, b)
+    with pytest.raises(ValueError):
+        P1.A[0, 0] = 5.0  # rows are read-only views
+
+
+def test_block_add_cut_equals_rows_one_at_a_time():
+    rng = np.random.default_rng(7)
+    P = initial_polyhedron(initial_simplex(4), t_tilde=0.0)
+    S, c, d = random_cuts(4, 37, rng)  # enough rows to double the storage twice
+    one = P
+    for j in range(len(d)):
+        one = add_cut(one, (S[j], c[j], d[j]))
+    block = add_cut(P, (S, c, d))
+    assert block.num_rows == one.num_rows == P.num_rows + 37
+    for name in ("A", "a", "b"):
+        assert np.array_equal(getattr(block, name), getattr(one, name))
+    assert np.array_equal(block.head(P.num_rows + 5).b, one.b[:P.num_rows + 5])
+    for u, v in zip(block.binary_bounds(), one.binary_bounds()):
+        assert np.array_equal(u, v)
+
+
+def test_binary_bounds_match_t_interval():
+    rng = np.random.default_rng(8)
+    n = 3
+    P = initial_polyhedron(initial_simplex(n, v_mask=5), t_tilde=-2.0)
+    P = add_cut(P, random_cuts(n, 6, rng))
+    P = P.with_rows(rng.normal(size=(2, n)), np.ones(2), 5.0 + rng.uniform(size=2))
+    viol, t_lo, t_hi = P.binary_bounds()
+    for m, x in enumerate(binary_points(n)):
+        assert viol[m] <= 1e-12  # the initial simplex holds the cube
+        assert (t_lo[m], t_hi[m]) == pytest.approx(P.t_interval(x), abs=1e-12)

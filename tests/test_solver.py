@@ -1,11 +1,13 @@
 """Tests for the branch-and-bound driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dsprism import setfn
 from dsprism.experiments import gen_random_ds
-from dsprism.geometry import barycentric
+from dsprism.geometry import barycentric, binary_points
 from dsprism.setfn import as_table, brute_force_ds_min, indicator, lovasz
 from dsprism.solver import SolverConfig, cutting_plane, is_feasible_point, solve
 
@@ -118,6 +120,51 @@ def test_cut_validity_on_all_subsets():
         assert float(s @ x) + c * t + d > 0
         for m in range(16):
             assert float(s @ indicator(m, 4)) + c * f(m) + d <= 1e-9
+
+
+def test_block_cutting_planes_match_single_point_cuts():
+    rng = np.random.default_rng(1)
+    n = 6
+    for f in (as_table(setfn.coverage(n, rng.uniform(0.5, 1.0, 9),
+                                      [[0, 1], [1, 2, 3], [4, 5], [5, 6, 7], [8], [0, 8]])),
+              setfn.table(n, rng.normal(size=1 << n))):
+        masks = rng.permutation(1 << n)[:40]
+        X = binary_points(n)[masks]
+        t = f.table_values[masks] - rng.uniform(0.1, 1.0, size=len(masks))
+        S, c, d = cutting_plane(f, X, t)
+        assert S.shape == X.shape and c.shape == d.shape == (len(masks),)
+        for j, m in enumerate(masks):
+            s1, c1, d1 = cutting_plane(f, X[j], t[j])
+            assert np.allclose(S[j], s1, rtol=0, atol=1e-12)
+            assert c[j] == c1 and abs(d[j] - d1) <= 1e-12
+            # tight at its own point: l(I_A, f(A)) = 0
+            assert abs(float(S[j] @ X[j]) + c[j] * f(int(m)) + d[j]) <= 1e-12
+    with pytest.raises(ValueError, match="binary"):
+        cutting_plane(f, np.full((1, n), 0.5), np.zeros(1))
+    with pytest.raises(ValueError, match="feasible"):
+        cutting_plane(f, X[:2], f.table_values[masks[:2]])
+
+
+def test_cut_minus_modular_n12_memory():
+    # the bound program and the cuts touch every row at every binary point;
+    # their temporaries are chunked, so the peak stays far below the
+    # (2^n x rows) matrices an unchunked evaluation would build
+    n = 12
+    rng = np.random.default_rng([0, n])
+    edges = [(u, v, float(rng.uniform(0.1, 1.0)))
+             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+    f = as_table(setfn.cut(n, edges))
+    g = as_table(setfn.modular(rng.normal(0.0, 0.7, size=n)))
+    tracemalloc.start()
+    try:
+        rep = solve(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.termination_reason == "optimal"
+    assert rep.optimal_value == pytest.approx(float(np.min(f.table_values - g.table_values)),
+                                              abs=1e-9)
+    assert peak < 64 * 2 ** 20
 
 
 def test_is_feasible_point():
