@@ -4,10 +4,10 @@ binary points of a simplex, and the resulting prism lower bound.
 The program is solved exactly by enumerating all binary x whose barycentric
 coordinates are nonnegative in the simplex.  For each such x the barycentric
 weights are unique, and the objective sum(t_i lambda_i) - t is maximized at
-the smallest t the polyhedron admits at x.  That t_lo(x), with the
-feasibility of x, is read by mask from ``Polyhedron.binary_bounds``: the
-polyhedron's storage keeps it for every binary point and evaluates each row
-there once, when the row is first needed.
+the smallest t the polyhedron admits at x, t_lo(x) = max(t_tilde, max_j
+s_j.x + d_j).  It is read by mask from ``Polyhedron.binary_t_lo``: the
+polyhedron's storage keeps it for every binary point and evaluates each cut
+there once, when the cut is first needed.
 """
 
 from dataclasses import dataclass, field
@@ -85,52 +85,33 @@ def vertex_levels(S, alpha, f, g, ghat_cache=None):
     return VertexLevels(t=gh + mu, mu=mu)
 
 
-def solve_bound(S, P, levels, f, g, feas_tol=1e-9):
+def solve_bound(S, P, levels, f, g):
     """Exact optimum of the bound program for prism T(S) against P.
 
-    Enumerates binary x inside S; each surviving x contributes a feasible
-    point (its subset and f-value).  The hyperplane bound is +inf when
-    nothing survives, mu when c* <= 0, and mu - c* when c* > 0.  beta also
-    folds in the direct enumeration bound min_x(t_lo(x) - g(x)), which is
-    valid for the subsets in the prism and at least as tight: the
-    hyperplane bound equals min_x(t_lo(x) - sum_i lambda_i ghat(v_i)) and
-    the chord overestimates the convex ghat at every x.
+    Enumerates binary x inside S; each contributes a feasible point (its
+    subset and f-value), since P's domain holds the cube and P admits every
+    t >= t_lo(x) there.  The prism is infeasible only when S holds no
+    binary point.  The hyperplane bound is mu when c* <= 0, and mu - c*
+    when c* > 0.  beta also folds in the direct enumeration bound
+    min_x(t_lo(x) - g(x)), which is valid for the subsets in the prism and
+    at least as tight: the hyperplane bound equals
+    min_x(t_lo(x) - sum_i lambda_i ghat(v_i)) and the chord overestimates
+    the convex ghat at every x.
     """
-    n = S.n
-    grid = binary_points(n)
+    grid = binary_points(S.n)
     lam = S.barycentric_many(grid)
-    inside = np.min(lam, axis=1) >= -MEMBERSHIP_TOL
+    masks = np.nonzero(np.min(lam, axis=1) >= -MEMBERSHIP_TOL)[0]
     mu = levels.mu
-
-    if not np.any(P.a < 0):
-        raise ValueError("polyhedron does not bound t from below")
-
-    idx = np.nonzero(inside)[0]
-    if len(idx) == 0:
+    if len(masks) == 0:
         return BoundResult(status=INFEASIBLE, beta=np.inf, mu=mu)
 
-    viol, t_lo, t_hi = P.binary_bounds()
-    t_lo, t_hi = t_lo[idx], t_hi[idx]
-    ok = (viol[idx] <= feas_tol) & (t_lo <= t_hi + feas_tol)
-
-    if not np.any(ok):
-        return BoundResult(status=INFEASIBLE, beta=np.inf, mu=mu)
-
-    masks = idx[ok]
-    t_lo = t_lo[ok]
+    t_lo = P.binary_t_lo()[masks]
     obj = lam[masks] @ levels.t - t_lo
     j = int(np.argmax(obj))  # first max: smallest mask wins ties
     best_obj = float(obj[j])
     mask = int(masks[j])
-    if f.table_values is not None:
-        feasible = list(zip(masks.tolist(), f.table_values[masks].tolist()))
-    else:
-        feasible = [(int(m), f(int(m))) for m in masks]
-    if g.table_values is not None:
-        gvals = g.table_values[masks]
-    else:
-        gvals = np.array([g(int(m)) for m in masks])
-    direct = float(np.min(t_lo - gvals))
+    feasible = list(zip(masks.tolist(), f.values(masks).tolist()))
+    direct = float(np.min(t_lo - g.values(masks)))
     beta = mu if best_obj <= 0.0 else mu - best_obj
     beta = max(beta, direct)
     return BoundResult(status=SOLVED, beta=beta, mu=mu, c_star=best_obj,
@@ -160,9 +141,7 @@ def equivalence_check(S, P, levels, feas_tol=1e-9, tol=1e-8):
         iv = P.t_interval(x, tol=feas_tol)
         if iv is None:
             continue
-        t_lo, t_hi = iv
-        if t_lo > t_hi + feas_tol:
-            continue
+        t_lo = iv[0]
         obj_mip = float(levels.t @ lam[mask]) - t_lo
         obj_hyp = float(p @ x) - t_lo
         if abs(obj_hyp - (obj_mip + gamma)) > tol:

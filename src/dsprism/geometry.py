@@ -2,7 +2,10 @@
 
 All values are immutable after construction; operations return fresh
 objects.  The polyhedron lives in (x, t)-space and outer-approximates the
-epigraph region {x in the cube, fhat(x) <= t}.
+epigraph region {x in the cube, fhat(x) <= t}: it is the enclosing simplex
+S0 with a floor t >= t_tilde, cut down by subgradient planes t >= s.x + d
+(Kelley's cutting-plane model), and it keeps the lowest admitted t at every
+binary point.
 """
 
 import numpy as np
@@ -181,82 +184,76 @@ def binary_points(n):
     return _binary_grid_cache[n]
 
 
-# float64 entries (2 MB) of the temporary that evaluates a chunk of rows at
-# all 2^n binary points: a chunk has CHUNK_ENTRIES / 2^n rows, at least one.
+# float64 entries (2 MB) of the temporary that evaluates a chunk of cuts at
+# all 2^n binary points: a chunk has CHUNK_ENTRIES / 2^n cuts, at least one.
 # Larger chunks are no faster and raise the peak memory of n <= 12 solves.
 CHUNK_ENTRIES = 1 << 18
 
 
-def _fold_binary_bounds(A, a, b, bounds=None):
-    """(viol, t_lo, t_hi) per binary point over the rows (A, a, b), folded
-    into earlier bounds (None: over no rows), which are not modified: the
-    worst t-free row violation A.x - b, the highest lower t-limit (a < 0)
-    and the lowest upper t-limit (a > 0)."""
-    n = A.shape[1]
-    X = binary_points(n)
-    if bounds is None:
-        bounds = (np.full(1 << n, -np.inf), np.full(1 << n, -np.inf), np.full(1 << n, np.inf))
-    viol, t_lo, t_hi = (v.copy() for v in bounds)
-    step = max(1, CHUNK_ENTRIES >> n)
-    for j in range(0, len(b), step):
-        Aj, aj, bj = A[j:j + step], a[j:j + step], b[j:j + step]
-        for sel, out, pick in ((aj == 0, viol, np.maximum), (aj < 0, t_lo, np.maximum),
-                               (aj > 0, t_hi, np.minimum)):
-            if not np.any(sel):
-                continue
-            val = Aj[sel] @ X.T  # A.x, one row per row of A
-            if out is viol:
-                val -= bj[sel, None]
-            else:  # the t-limit (b - A.x) / a
-                np.subtract(bj[sel, None], val, out=val)
-                val /= aj[sel, None]
-            pick(out, pick.reduce(val, axis=0), out=out)
-    for v in (viol, t_lo, t_hi):
-        v.setflags(write=False)
-    return viol, t_lo, t_hi
+def _fold_cuts(s, d, t_lo):
+    """max(t_lo, max_j s_j.x + d_j) at every binary point x, in mask order,
+    for the cuts (s, d); t_lo is not modified."""
+    X = binary_points(s.shape[1])
+    t_lo = t_lo.copy()
+    step = max(1, CHUNK_ENTRIES >> s.shape[1])
+    for j in range(0, len(d), step):
+        val = s[j:j + step] @ X.T  # s.x, one row per cut
+        val += d[j:j + step, None]
+        np.maximum(t_lo, np.max(val, axis=0), out=t_lo)
+    t_lo.setflags(write=False)
+    return t_lo
 
 
-class _RowStore:
-    """Append-only rows A_j, a_j, b_j with capacity doubling, shared by the
-    polyhedra grown from one another.  The per-binary-point bounds over the
-    first ``cached`` rows are kept and extended lazily."""
+class _CutStore:
+    """Append-only cuts (s_j, d_j) with capacity doubling, shared by the
+    polyhedra grown from one another, over one domain and floor.  The
+    per-binary-point t_lo over the first ``cached`` cuts is kept and
+    extended lazily."""
 
-    __slots__ = ("A", "a", "b", "size", "cached", "bounds")
+    __slots__ = ("domain", "t_tilde", "s", "d", "size", "cached", "t_lo")
 
-    def __init__(self, A, a, b):
-        self.A, self.a, self.b = A.copy(), a.copy(), b.copy()
-        self.size = len(b)
+    def __init__(self, domain, t_tilde, s, d):
+        self.domain, self.t_tilde = domain, t_tilde
+        self.s, self.d = s.copy(), d.copy()
+        self.size = len(d)
         self.cached = 0
-        self.bounds = None
+        self.t_lo = self.floor()
 
-    def append(self, A, a, b):
-        k, m = self.size, len(b)
-        if k + m > len(self.b):
-            cap = max(2 * len(self.b), k + m)
-            for name in ("A", "a", "b"):
+    def floor(self):
+        """t_lo over no cuts: t_tilde at every binary point."""
+        t_lo = np.full(1 << self.domain.n, self.t_tilde)
+        t_lo.setflags(write=False)
+        return t_lo
+
+    def append(self, s, d):
+        k, m = self.size, len(d)
+        if k + m > len(self.d):
+            cap = max(2 * len(self.d), k + m)
+            for name in ("s", "d"):
                 old = getattr(self, name)
                 new = np.empty((cap,) + old.shape[1:])
                 new[:k] = old[:k]
                 setattr(self, name, new)
-        self.A[k:k + m] = A
-        self.a[k:k + m] = a
-        self.b[k:k + m] = b
+        self.s[k:k + m] = s
+        self.d[k:k + m] = d
         self.size = k + m
 
 
 class Polyhedron:
-    """Conjunction of half-spaces A_j . x + a_j t <= b_j.
+    """Kelley's cutting-plane model of the epigraph region over the simplex
+    domain S0: {(x, t) : x in S0, t >= t_tilde, t >= s_j.x + d_j for all j}.
 
-    A polyhedron is the first num_rows rows of an append-only row store.
-    add_cut on the newest prefix of a store appends in place; on an older
-    prefix it copies that prefix first, so a polyhedron never changes.
+    Its rows are the floor t >= t_tilde followed by the cuts.  A polyhedron
+    is the floor plus the first cuts of an append-only cut store.  add_cut on
+    the newest prefix of a store appends in place; on an older prefix it
+    copies that prefix first, so a polyhedron never changes.
     """
 
     __slots__ = ("_store", "_k")
 
-    def __init__(self, A, a, b):
-        self._store = _RowStore(*(np.asarray(v, dtype=float) for v in (A, a, b)))
-        self._k = self._store.size
+    def __init__(self, domain, t_tilde):
+        self._store = _CutStore(domain, float(t_tilde), np.empty((0, domain.n)), np.empty(0))
+        self._k = 0
 
     @classmethod
     def _prefix(cls, store, k):
@@ -265,108 +262,73 @@ class Polyhedron:
         P._k = k
         return P
 
-    def _rows(self, name):
+    def _cuts(self, name):
         view = getattr(self._store, name)[:self._k]
         view.setflags(write=False)
         return view
 
-    A = property(lambda self: self._rows("A"))
-    a = property(lambda self: self._rows("a"))
-    b = property(lambda self: self._rows("b"))
+    domain = property(lambda self: self._store.domain)
+    t_tilde = property(lambda self: self._store.t_tilde)
+    s = property(lambda self: self._cuts("s"))
+    d = property(lambda self: self._cuts("d"))
 
     @property
     def num_rows(self):
-        return self._k
+        """The floor plus the cuts."""
+        return 1 + self._k
 
     def head(self, k):
-        """The polyhedron of the first k rows, sharing this one's storage."""
-        if not 0 <= k <= self._k:
-            raise ValueError("prefix of %d rows out of 0..%d" % (k, self._k))
-        return Polyhedron._prefix(self._store, k)
+        """The polyhedron of the first k rows (the floor and k-1 cuts),
+        sharing this one's storage."""
+        if not 1 <= k <= self.num_rows:
+            raise ValueError("prefix of %d rows out of 1..%d" % (k, self.num_rows))
+        return Polyhedron._prefix(self._store, k - 1)
 
-    def with_rows(self, A, a, b):
-        """This polyhedron with the rows (A, a, b) appended."""
-        store = self._store
-        if self._k < store.size:
-            store = _RowStore(self.A, self.a, self.b)
-        store.append(A, a, b)
-        return Polyhedron._prefix(store, store.size)
+    def binary_t_lo(self):
+        """t_lo(x) = max(t_tilde, max_j s_j.x + d_j), the lowest t the
+        polyhedron admits, at every binary point x in mask order.
 
-    def binary_bounds(self):
-        """(viol, t_lo, t_hi) per binary point, in mask order: the worst
-        violation of the t-free rows, the lowest t the rows with a < 0
-        admit and the highest t the rows with a > 0 admit.
-
-        Cached in the storage and extended over the rows appended since the
+        Cached in the storage and extended over the cuts appended since the
         last call; a query through a prefix shorter than the cache
-        recomputes from scratch.  The arrays are read-only and never change.
+        recomputes from scratch.  The array is read-only and never changes.
         """
         store, k = self._store, self._k
         if k < store.cached:
-            return _fold_binary_bounds(self.A, self.a, self.b)
-        if store.bounds is None or k > store.cached:
+            return _fold_cuts(self.s, self.d, store.floor())
+        if k > store.cached:
             c = store.cached
-            store.bounds = _fold_binary_bounds(store.A[c:k], store.a[c:k], store.b[c:k],
-                                               store.bounds)
+            store.t_lo = _fold_cuts(store.s[c:k], store.d[c:k], store.t_lo)
             store.cached = k
-        return store.bounds
+        return store.t_lo
 
     def t_interval(self, x, tol=1e-9):
-        """Feasible t-range at a fixed x, or None when the t-free rows reject x.
-
-        Raises when no row bounds t from below (a_j < 0 is required).
-        """
+        """Feasible t-range (t_lo, inf) at a fixed x, or None when x lies
+        outside the domain by more than tol."""
         x = np.asarray(x, dtype=float)
-        a, b = self.a, self.b
-        lhs = self.A @ x
-        lo = -np.inf
-        hi = np.inf
-        has_lower = False
-        for j in range(len(b)):
-            aj = a[j]
-            if aj == 0.0:
-                if lhs[j] > b[j] + tol:
-                    return None
-            elif aj > 0.0:
-                hi = min(hi, (b[j] - lhs[j]) / aj)
-            else:
-                lo = max(lo, (b[j] - lhs[j]) / aj)
-                has_lower = True
-        if not has_lower:
-            raise ValueError("polyhedron does not bound t from below")
-        return lo, hi
-
-    def satisfies(self, x, t, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.A @ x + self.a * t <= self.b + tol))
+        if not self.domain.contains(x, tol):
+            return None
+        return max(self.t_tilde, float(np.max(self.s @ x + self.d, initial=-np.inf))), np.inf
 
     def __repr__(self):
         return "Polyhedron(rows=%d)" % self.num_rows
 
 
 def initial_polyhedron(S0, t_tilde):
-    """Rows encoding x in S0 (facet inequalities recovered from barycentric
-    coordinates) plus the floor -t <= -t_tilde."""
-    n = S0.n
-    Minv = S0._minv
-    rows_A = []
-    rows_a = []
-    rows_b = []
-    for i in range(n + 1):
-        # lambda_i(x) = Minv[i,:n].x + Minv[i,n] >= 0
-        rows_A.append(-Minv[i, :n])
-        rows_a.append(0.0)
-        rows_b.append(Minv[i, n])
-    rows_A.append(np.zeros(n))
-    rows_a.append(-1.0)
-    rows_b.append(-float(t_tilde))
-    return Polyhedron(np.array(rows_A), rows_a, rows_b)
+    """The domain S0 with the floor t >= t_tilde and no cuts."""
+    return Polyhedron(S0, t_tilde)
 
 
 def add_cut(P, cut_row):
-    """Append the row s.x + c*t <= -d encoding l(x,t) = s.x + c*t + d <= 0.
+    """P with the cut l(x, t) = s.x + c*t + d <= 0 appended; c must be -1,
+    so the cut reads t >= s.x + d.
 
-    A block of rows is s of shape (k, n) with c and d of length k.
+    A block of cuts is s of shape (k, n) with c and d of length k.
     """
     s, c, d = (np.asarray(v, dtype=float) for v in cut_row)
-    return P.with_rows(s.reshape(-1, s.shape[-1]), c.reshape(-1), -d.reshape(-1))
+    if np.any(c != -1.0):
+        raise ValueError("a cut must have t-coefficient c = -1 (t >= s.x + d)")
+    store = P._store
+    if P._k < store.size:
+        store = _CutStore(store.domain, store.t_tilde, P.s, P.d)
+    store.append(s.reshape(-1, s.shape[-1]), d.reshape(-1))
+    return Polyhedron._prefix(store, store.size)

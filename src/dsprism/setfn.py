@@ -68,6 +68,14 @@ class SetFunction:
             raise GroundSetError("mask %d outside ground set of size %d" % (mask, self.n))
         return float(self._fn(int(mask)))
 
+    def values(self, masks):
+        """Values at an integer array of masks, same shape: a table lookup
+        when tabulated, else one oracle call per mask."""
+        if self.table_values is not None:
+            return self.table_values[masks]
+        masks = np.asarray(masks)
+        return np.array([self(int(m)) for m in masks.ravel()]).reshape(masks.shape)
+
     def __repr__(self):
         return "SetFunction(n=%d, %s)" % (self.n, self.name)
 
@@ -285,10 +293,7 @@ def as_table(oracle):
     n = oracle.n
     if n > ENUM_CAP:
         raise GroundSetError("ground set too large to tabulate")
-    vals = oracle.table_values
-    if vals is None:
-        vals = [oracle(m) for m in range(1 << n)]
-    out = table(n, vals)
+    out = table(n, oracle.values(np.arange(1 << n)))
     out.name = "table(%s)" % oracle.name
     out.submodular = oracle.submodular
     return out
@@ -309,9 +314,7 @@ def _chain_values(oracle, order):
     starting from the empty set: n+1 values per order (last axis)."""
     chain = np.cumsum(np.left_shift(1, order), axis=-1)
     chain = np.concatenate([np.zeros_like(chain[..., :1]), chain], axis=-1)
-    if oracle.table_values is not None:
-        return oracle.table_values[chain]
-    return np.array([oracle(int(m)) for m in chain.ravel()]).reshape(chain.shape)
+    return oracle.values(chain)
 
 
 def lovasz(oracle, x):
@@ -352,17 +355,9 @@ def brute_force_min(oracle):
     n = oracle.n
     if n > ENUM_CAP:
         raise GroundSetError("ground set too large for exhaustive enumeration")
-    if oracle.table_values is not None:
-        m = int(np.argmin(oracle.table_values))  # first min: smallest mask
-        return m, float(oracle.table_values[m])
-    best_mask = 0
-    best_val = oracle(0)
-    for m in range(1, 1 << n):
-        v = oracle(m)
-        if v < best_val:
-            best_val = v
-            best_mask = m
-    return best_mask, best_val
+    vals = oracle.values(np.arange(1 << n))
+    m = int(np.argmin(vals))  # first min: smallest mask
+    return m, float(vals[m])
 
 
 def brute_force_ds_min(f, g):
@@ -380,10 +375,8 @@ def max_submodularity_violation(oracle):
     n = oracle.n
     if n > 12:
         raise GroundSetError("four-point check is exhaustive; n too large")
-    vals = oracle.table_values
-    if vals is None:
-        vals = np.array([oracle(m) for m in range(1 << n)])
     B = np.arange(1 << n)
+    vals = oracle.values(B)
     # about 64 sets A at a time: temporaries of ~64 x 2^n entries, not 2^n x 2^n
     return max(float(np.max(vals[A | B] + vals[A & B] - vals[A] - vals[B]))
                for A in np.array_split(B[:, None], max(1, len(B) // 64)))

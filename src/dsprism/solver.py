@@ -33,6 +33,9 @@ class SolverConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError("%s must be finite and nonnegative, got %r" % (name, value))
+        for name in ("max_iters", "max_nodes"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be nonnegative, got %r" % (name, getattr(self, name)))
 
 
 @dataclass
@@ -102,10 +105,7 @@ def _binary_cutting_planes(f, X, t_star, feas_tol):
     if not np.all((X == 0.0) | (X == 1.0)):
         raise ValueError("a block of cutting planes needs binary points")
     masks = (X @ np.left_shift(1, np.arange(f.n))).astype(np.int64)
-    if f.table_values is not None:
-        fhat = f.table_values[masks]
-    else:
-        fhat = np.array([f(int(m)) for m in masks])
+    fhat = f.values(masks)
     if np.any(fhat <= t_star + feas_tol):
         raise ValueError("cutting plane requested at a feasible point")
     s = lovasz_subgradient(f, X)
@@ -125,6 +125,10 @@ def solve(f, g, config=None, observer=None):
         raise GroundSetError("oracles live on different ground sets")
     cfg = config or SolverConfig()
     n = f.n
+    anchor = cfg.initial_vertex
+    if not (isinstance(anchor, (int, np.integer)) and 0 <= anchor < 1 << n):
+        raise ValueError("initial_vertex must be an integer mask in 0..%d, got %r"
+                         % ((1 << n) - 1, anchor))
     start = time.perf_counter()
 
     # tabulate once: every oracle value the search needs is one of the 2^n
@@ -147,7 +151,7 @@ def solve(f, g, config=None, observer=None):
         return cfg.eps * max(1.0, abs(inc_val))
 
     _, t_tilde = brute_force_min(ft)
-    S0 = initial_simplex(n, cfg.initial_vertex)
+    S0 = initial_simplex(n, anchor)
     P = initial_polyhedron(S0, t_tilde)
 
     nodes_created = 0
@@ -199,25 +203,35 @@ def solve(f, g, config=None, observer=None):
         _emit(observer, "delete", node_id=nid, reason=reason, simplex=S,
               bound_value=beta, alpha=inc_val)
 
+    def bound_region(nid, S, beta, new):
+        """Bound region nid (simplex S, stored bound beta) against the current
+        P and feed its binary points to the incumbent; a new region reports
+        a node_bound event.  Closes the region when a deletion rule applies.
+        Returns (bound result, tightened beta, deletion reason or None)."""
+        levels = vertex_levels(S, inc_val, ft, gt, ghat_cache)
+        res = solve_bound(S, P, levels, ft, gt)
+        update_incumbent(res.feasible_points)
+        if new:
+            _emit(observer, "node_bound", node_id=nid, simplex=S, polyhedron=P,
+                  levels=levels, bound=res, alpha=inc_val, parent_beta=beta)
+        beta = max(beta, res.beta)  # inf when infeasible
+        reason = classify(res, beta)
+        if reason is not None:
+            close(nid, reason, S, beta)
+        return res, beta, reason
+
     def bound_child(S, parent_beta, parent_depth):
         """Solve the bound problem for a child simplex; returns (node_or_None,
         trace entry).  Deleted children close their region with a certified
         bound recorded in closed_bounds."""
         nonlocal nodes_created, next_id
-        levels = vertex_levels(S, inc_val, ft, gt, ghat_cache)
-        res = solve_bound(S, P, levels, ft, gt, feas_tol=cfg.feas_tol)
         nodes_created += 1
         nid = next_id
         next_id += 1
-        update_incumbent(res.feasible_points)
-        _emit(observer, "node_bound", node_id=nid, simplex=S, polyhedron=P,
-              levels=levels, bound=res, alpha=inc_val, parent_beta=parent_beta)
-        beta = max(parent_beta, res.beta)  # inf when infeasible
-        reason = classify(res, beta)
+        res, beta, reason = bound_region(nid, S, parent_beta, new=True)
         entry = {"id": nid, "status": res.status, "c_star": res.c_star,
                  "beta": None if reason == "dr1" else beta, "deleted_by": reason}
         if reason is not None:
-            close(nid, reason, S, beta)
             return None, entry
         node = Node(prism=Prism(S), beta=beta, bound=res, depth=parent_depth + 1,
                     id=nid, rows_seen=P.num_rows)
@@ -257,15 +271,10 @@ def solve(f, g, config=None, observer=None):
                 close(nid, "bound", S, cand.beta)
                 continue
             if P.num_rows > cand.rows_seen:
-                levels = vertex_levels(S, inc_val, ft, gt, ghat_cache)
-                res = solve_bound(S, P, levels, ft, gt, feas_tol=cfg.feas_tol)
-                update_incumbent(res.feasible_points)
+                res, new_beta, reason = bound_region(nid, S, cand.beta, new=False)
                 cand.rows_seen = P.num_rows
                 cand.bound = res
-                new_beta = max(cand.beta, res.beta)  # inf when infeasible
-                reason = classify(res, new_beta)
                 if reason is not None:
-                    close(nid, reason, S, new_beta)
                     continue
                 if new_beta > cand.beta:
                     # tightened but maybe no longer the best node: reinsert

@@ -7,8 +7,7 @@ from dsprism import setfn
 from dsprism.bound import (INFEASIBLE, SOLVED, binary_points,
                            binary_vertex_indices, compute_mu, equivalence_check,
                            solve_bound, vertex_levels)
-from dsprism.geometry import (Polyhedron, Simplex, add_cut, initial_polyhedron,
-                              initial_simplex)
+from dsprism.geometry import Simplex, add_cut, initial_polyhedron, initial_simplex
 from dsprism.setfn import indicator, lovasz, lovasz_subgradient
 
 
@@ -96,14 +95,6 @@ def test_infeasible_when_no_binary_point():
     assert res.beta == np.inf
 
 
-def test_solve_bound_requires_floor_row():
-    f, g, S, _ = worked_instance()
-    P = Polyhedron(np.array([[1.0]]), np.array([0.0]), np.array([1.0]))
-    levels = vertex_levels(S, -1.0, f, g)
-    with pytest.raises(ValueError):
-        solve_bound(S, P, levels, f, g)
-
-
 def test_smallest_mask_wins_objective_ties():
     # simplex excludes (1,1); the two singletons tie and mask 1 must win
     f = setfn.table(2, [0.0, 1.0, 1.0, 2.0])
@@ -145,6 +136,11 @@ def assert_same_bound(a, b):
     assert np.array_equal(a.feasible_t_lo, b.feasible_t_lo)
 
 
+def fresh_copy(P):
+    """P rebuilt in one piece: a new store holding the same floor and cuts."""
+    return add_cut(initial_polyhedron(P.domain, P.t_tilde), (P.s, -np.ones(len(P.d)), P.d))
+
+
 def test_solve_bound_on_grown_polyhedron_matches_fresh():
     # the storage cache, extended cut by cut, against a polyhedron built in
     # one piece; then an older prefix (recomputed) and the newest again
@@ -164,8 +160,8 @@ def test_solve_bound_on_grown_polyhedron_matches_fresh():
         grown.append(P)
         for T in (S, sub):
             assert_same_bound(solve_bound(T, P, levels[T], f, g),
-                              solve_bound(T, Polyhedron(P.A, P.a, P.b), levels[T], f, g))
+                              solve_bound(T, fresh_copy(P), levels[T], f, g))
     for Q in (grown[2], grown[-1], grown[0], grown[-1]):
         for T in (S, sub):
             assert_same_bound(solve_bound(T, Q, levels[T], f, g),
-                              solve_bound(T, Polyhedron(Q.A, Q.a, Q.b), levels[T], f, g))
+                              solve_bound(T, fresh_copy(Q), levels[T], f, g))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dsprism.geometry import (DegenerateSimplexError, Polyhedron, Simplex, add_cut,
+from dsprism.geometry import (DegenerateSimplexError, Simplex, add_cut,
                               barycentric, binary_points, bisect, hyperplane_through,
                               initial_polyhedron, initial_simplex, longest_edge,
                               radial_subdivide)
@@ -120,22 +120,13 @@ def test_hyperplane_through():
         assert float(p @ v) - t == pytest.approx(gamma, abs=1e-9)
 
 
-def test_polyhedron_t_interval_and_satisfies():
-    # x0 <= 1, -t <= 0, x0 + t <= 3
-    P = Polyhedron(np.array([[1.0], [0.0], [1.0]]), np.array([0.0, -1.0, 1.0]),
-                   np.array([1.0, 0.0, 3.0]))
-    lo, hi = P.t_interval(np.array([0.5]))
-    assert lo == pytest.approx(0.0)
-    assert hi == pytest.approx(2.5)
+def test_polyhedron_t_interval():
+    # domain [0, 1] as a 1-simplex, floor t >= 0, cut t >= x0 - 0.25
+    S = Simplex(np.array([[0.0], [1.0]]))
+    P = add_cut(initial_polyhedron(S, t_tilde=0.0), (np.array([1.0]), -1.0, -0.25))
+    assert P.t_interval(np.array([0.5])) == (pytest.approx(0.25), np.inf)
+    assert P.t_interval(np.array([0.1])) == (0.0, np.inf)  # the floor binds
     assert P.t_interval(np.array([2.0])) is None
-    assert P.satisfies(np.array([0.5]), 1.0)
-    assert not P.satisfies(np.array([0.5]), 2.6)
-
-
-def test_polyhedron_requires_lower_bound_row():
-    P = Polyhedron(np.array([[1.0]]), np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        P.t_interval(np.array([0.5]))
 
 
 def test_initial_polyhedron_matches_simplex_membership():
@@ -158,7 +149,16 @@ def test_add_cut_appends_row():
     P2 = add_cut(P, (np.array([1.0, 0.0]), -1.0, 0.25))
     assert P2.num_rows == rows + 1
     assert P.num_rows == rows  # original untouched
-    assert P2.b[-1] == -0.25
+    assert P2.d[-1] == 0.25
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, -2.0, [-1.0, 0.5]])
+def test_add_cut_rejects_t_coefficient_other_than_minus_one(c):
+    P = initial_polyhedron(initial_simplex(2), t_tilde=0.0)
+    k = np.size(c)
+    with pytest.raises(ValueError, match="c = -1"):
+        add_cut(P, (np.ones((k, 2)), np.asarray(c), np.zeros(k)))
+    assert P.num_rows == 1 and len(P.d) == 0
 
 
 def random_cuts(n, k, rng):
@@ -167,35 +167,40 @@ def random_cuts(n, k, rng):
 
 def test_add_cut_twice_on_same_polyhedron_is_independent():
     rng = np.random.default_rng(6)
-    P = initial_polyhedron(initial_simplex(3), t_tilde=-1.0)
-    A, a, b = P.A.copy(), P.a.copy(), P.b.copy()
-    S, c, d = random_cuts(3, 2, rng)
-    P1 = add_cut(P, (S[0], c[0], d[0]))
-    P2 = add_cut(P, (S[1], c[1], d[1]))
+    P = add_cut(initial_polyhedron(initial_simplex(3), t_tilde=-1.0), random_cuts(3, 3, rng))
+    s, d = P.s.copy(), P.d.copy()
+    S, c, dd = random_cuts(3, 2, rng)
+    P1 = add_cut(P, (S[0], c[0], dd[0]))
+    P2 = add_cut(P, (S[1], c[1], dd[1]))
     for Q, j in ((P1, 0), (P2, 1)):
-        assert Q.num_rows == len(b) + 1
-        assert np.array_equal(Q.A[:-1], A) and np.array_equal(Q.b[:-1], b)
-        assert np.array_equal(Q.A[-1], S[j]) and Q.b[-1] == -d[j]
-    assert P.num_rows == len(b)
-    assert np.array_equal(P.A, A) and np.array_equal(P.a, a) and np.array_equal(P.b, b)
-    with pytest.raises(ValueError):
-        P1.A[0, 0] = 5.0  # rows are read-only views
+        assert Q.num_rows == P.num_rows + 1
+        assert np.array_equal(Q.s[:-1], s) and np.array_equal(Q.d[:-1], d)
+        assert np.array_equal(Q.s[-1], S[j]) and Q.d[-1] == dd[j]
+        assert Q.t_tilde == -1.0 and Q.domain is P.domain
+    assert P.num_rows == len(d) + 1
+    assert np.array_equal(P.s, s) and np.array_equal(P.d, d)
+    for view in (P1.s[0], P1.d):
+        with pytest.raises(ValueError):
+            view[0] = 5.0  # cuts are read-only views
 
 
 def test_block_add_cut_equals_rows_one_at_a_time():
     rng = np.random.default_rng(7)
     P = initial_polyhedron(initial_simplex(4), t_tilde=0.0)
-    S, c, d = random_cuts(4, 37, rng)  # enough rows to double the storage twice
+    S, c, d = random_cuts(4, 37, rng)  # enough cuts to double the storage several times
     one = P
     for j in range(len(d)):
         one = add_cut(one, (S[j], c[j], d[j]))
     block = add_cut(P, (S, c, d))
     assert block.num_rows == one.num_rows == P.num_rows + 37
-    for name in ("A", "a", "b"):
+    for name in ("s", "d"):
         assert np.array_equal(getattr(block, name), getattr(one, name))
-    assert np.array_equal(block.head(P.num_rows + 5).b, one.b[:P.num_rows + 5])
-    for u, v in zip(block.binary_bounds(), one.binary_bounds()):
-        assert np.array_equal(u, v)
+    assert np.array_equal(block.head(6).d, one.d[:5])
+    assert block.head(1).num_rows == 1 and len(block.head(1).d) == 0
+    for k in (0, block.num_rows + 1):
+        with pytest.raises(ValueError):
+            block.head(k)
+    assert np.array_equal(block.binary_t_lo(), one.binary_t_lo())
 
 
 def test_binary_bounds_match_t_interval():
@@ -203,8 +208,8 @@ def test_binary_bounds_match_t_interval():
     n = 3
     P = initial_polyhedron(initial_simplex(n, v_mask=5), t_tilde=-2.0)
     P = add_cut(P, random_cuts(n, 6, rng))
-    P = P.with_rows(rng.normal(size=(2, n)), np.ones(2), 5.0 + rng.uniform(size=2))
-    viol, t_lo, t_hi = P.binary_bounds()
+    t_lo = P.binary_t_lo()
     for m, x in enumerate(binary_points(n)):
-        assert viol[m] <= 1e-12  # the initial simplex holds the cube
-        assert (t_lo[m], t_hi[m]) == pytest.approx(P.t_interval(x), abs=1e-12)
+        assert P.t_interval(x) == (pytest.approx(t_lo[m], abs=1e-12), np.inf)
+    with pytest.raises(ValueError):
+        t_lo[0] = 0.0  # the cached array is read-only

@@ -1,0 +1,41 @@
+"""The benchmark's tracing hooks against the names they wrap: a renamed
+function, argument or attribute fails here rather than in a benchmark run."""
+
+import sys
+from pathlib import Path
+
+from dsprism import bound, setfn, solver
+from dsprism.experiments import gen_random_ds
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+try:
+    import tracing
+finally:
+    sys.path.pop(0)
+
+
+def test_tracer_and_bound_probe_wrap_one_solve():
+    inst = gen_random_ds(4, "cut_minus_modular", 0)
+    oracle_call = setfn.SetFunction.__call__
+    tracer, probe = tracing.Tracer(), tracing.BoundProbe()
+    tracer.install()
+    try:
+        probe.install()
+        try:
+            rep = solver.solve(inst.f, inst.g)
+        finally:
+            probe.uninstall()
+    finally:
+        tracer.uninstall()
+    assert rep.termination_reason == "optimal"
+    nid = tracer.arrays()[0]
+    spanned = {tracer.names[i] for i in set(nid.tolist())}
+    assert {"solver.solve", "setfn.as_table", "setfn.oracle", "bound.solve_bound",
+            "bound.vertex_levels", "geometry.add_cut", "solver.cutting_plane"} <= spanned
+    feasible, cells = probe.take()
+    assert feasible > 0 and cells >= feasible
+    assert probe.rows_max > 1
+    # uninstalling restores every wrapped name
+    assert solver.solve_bound is bound.solve_bound
+    assert setfn.SetFunction.__call__ is oracle_call
+    assert all(getattr(home, attr).__name__ == attr for home, attr, _ in tracing.TARGETS)

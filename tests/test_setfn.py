@@ -235,3 +235,15 @@ def test_as_table_preserves_values():
     for m in range(16):
         assert t(m) == f(m)
     assert t.submodular is True
+
+
+def test_values_is_one_lookup_or_one_call_per_mask():
+    f = setfn.cut(4, [(0, 2, 1.0), (1, 3, 2.0)])
+    masks = np.array([[0, 5], [15, 3]])
+    want = np.array([[f(0), f(5)], [f(15), f(3)]])
+    calls = []
+    counted = setfn.SetFunction(4, lambda m: calls.append(m) or f(m))
+    for oracle in (f, as_table(f), counted):
+        got = oracle.values(masks)
+        assert got.shape == masks.shape and np.array_equal(got, want)
+    assert calls == [0, 5, 15, 3]

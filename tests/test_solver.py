@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dsprism import setfn
-from dsprism.experiments import gen_random_ds
+from dsprism.experiments import FAMILIES, gen_random_ds
 from dsprism.geometry import barycentric, binary_points
 from dsprism.setfn import as_table, brute_force_ds_min, indicator, lovasz
 from dsprism.solver import SolverConfig, cutting_plane, is_feasible_point, solve
@@ -71,6 +71,21 @@ def test_ground_set_mismatch():
 def test_config_rejects_bad_tolerances(field, bad):
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["max_iters", "max_nodes"])
+def test_config_rejects_negative_limits(field):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: -1})
+    assert getattr(SolverConfig(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("v", [8, 2**40, -1, 1.5])
+def test_solve_rejects_initial_vertex_outside_cube(v):
+    f, g = setfn.cut(3, [(0, 1, 1.0)]), setfn.modular([0.5, -0.5, 0.25])
+    with pytest.raises(ValueError, match="initial_vertex"):
+        solve(f, g, SolverConfig(initial_vertex=v))
+    assert solve(f, g, SolverConfig(initial_vertex=7)).config["initial_vertex"] == 7
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -220,6 +235,22 @@ def test_iteration_limit_reported():
     rep = solve(inst.f, inst.g, SolverConfig(max_iters=0))
     assert rep.termination_reason == "iteration_limit"
     assert rep.final_gap >= 0.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_final_gap_certifies_a_lower_bound_at_iteration_limits(family, n):
+    # a solve stopped early still brackets the optimum:
+    # optimal_value - final_gap <= min(f - g) <= optimal_value
+    for seed in (0, 1):
+        inst = gen_random_ds(n, family, seed)
+        _, best = brute_force_ds_min(as_table(inst.f), as_table(inst.g))
+        tol = 1e-9 * max(1.0, abs(best))
+        for max_iters in (0, 1, 2):
+            rep = solve(inst.f, inst.g, SolverConfig(max_iters=max_iters))
+            assert rep.final_gap >= 0.0
+            assert rep.optimal_value - rep.final_gap <= best + tol
+            assert rep.optimal_value >= best - tol
 
 
 def test_solver_matches_brute_force_spot():
