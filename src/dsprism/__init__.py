@@ -2,15 +2,15 @@
 prismatic branch-and-bound algorithm, with SSP/greedy baselines and a
 benchmark harness."""
 
-from .setfn import (SetFunction, evaluate, lovasz, lovasz_subgradient,
+from .setfn import (SetFunction, lovasz, lovasz_subgradient,
                     brute_force_min, brute_force_ds_min, make_function,
                     modular, cardinality_concave, cut, nuclear, neg_residual,
                     gaussian_entropy, table, coverage, mask_of, set_of,
                     indicator, is_submodular, as_table)
-from .geometry import (Simplex, Prism, Polyhedron, initial_simplex, barycentric,
+from .geometry import (Simplex, Polyhedron, initial_simplex, barycentric,
                        bisect, hyperplane_through, initial_polyhedron, add_cut,
                        DegenerateSimplexError)
-from .bound import VertexLevels, BoundResult, compute_mu, vertex_levels, solve_bound, equivalence_check
+from .bound import VertexLevels, BoundResult, vertex_levels, solve_bound, equivalence_check
 from .solver import SolverConfig, SolveReport, solve, cutting_plane, is_feasible_point
 from .baselines import modular_lower_bound, ssp, greedy
 from .experiments import (FsInstanceSpec, gen_feature_selection, gen_random_ds,

@@ -7,7 +7,9 @@ weights are unique, and the objective sum(t_i lambda_i) - t is maximized at
 the smallest t the polyhedron admits at x, t_lo(x) = max(t_tilde, max_j
 s_j.x + d_j).  It is read by mask from ``Polyhedron.binary_t_lo``: the
 polyhedron's storage keeps it for every binary point and evaluates each cut
-there once, when the cut is first needed.
+there once, when the cut is first needed.  The levels t_i = ghat(v_i) + mu
+take any mu; the result hands the simplex's binary points back as one
+ascending mask array, from which the solver updates its incumbent and cuts.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +19,6 @@ import numpy as np
 from .geometry import binary_points, hyperplane_through
 from .setfn import lovasz
 
-BINARY_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-12
 
 
@@ -35,89 +36,65 @@ SOLVED = "Solved"
 class BoundResult:
     status: str
     beta: float
-    mu: float
     c_star: float = None
     witness_x: np.ndarray = None
     witness_t: float = None
-    witness_lam: np.ndarray = None
     witness_mask: int = None
-    feasible_points: list = field(default_factory=list)  # [(mask, f_value)]
+    # masks of the binary points in the simplex, ascending; empty when infeasible
+    feasible_points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     feasible_t_lo: np.ndarray = None  # per feasible point, lowest t in P
 
 
-def binary_vertex_indices(S, tol=BINARY_TOL):
-    """Vertices of S that are binary vectors, within a per-coordinate tolerance."""
-    V = S.vertices
-    R = np.round(V)
-    ok = (np.max(np.abs(V - R), axis=1) <= tol) & np.all((R == 0) | (R == 1), axis=1)
-    return [int(i) for i in np.nonzero(ok)[0]]
-
-
-def compute_mu(S, alpha, f, g):
-    """mu = min(alpha, best f-g objective among binary vertices of S)."""
-    mu = float(alpha)
-    weights = np.left_shift(1, np.arange(S.n))
-    for i in binary_vertex_indices(S):
-        m = int(np.round(S.vertices[i]) @ weights)
-        mu = min(mu, f(m) - g(m))
-    return mu
-
-
-def vertex_levels(S, alpha, f, g, ghat_cache=None):
+def vertex_levels(S, mu, g, ghat_cache=None):
     """Levels t_i = ghat(v_i) + mu at the simplex vertices.
 
+    The bound is valid for any mu; the solver passes the incumbent value.
     ghat_cache, when given, memoizes ghat by vertex bytes; vertices are
     shared between parent and child simplices, so the cache saves most
     extension evaluations during a solve.
     """
-    mu = compute_mu(S, alpha, f, g)
+    cache = {} if ghat_cache is None else ghat_cache
     gh = np.empty(S.n + 1)
     for i, v in enumerate(S.vertices):
-        if ghat_cache is None:
-            gh[i] = lovasz(g, v)
-        else:
-            key = v.tobytes()
-            val = ghat_cache.get(key)
-            if val is None:
-                val = lovasz(g, v)
-                ghat_cache[key] = val
-            gh[i] = val
-    return VertexLevels(t=gh + mu, mu=mu)
+        key = v.tobytes()
+        if key not in cache:
+            cache[key] = lovasz(g, v)
+        gh[i] = cache[key]
+    return VertexLevels(t=gh + mu, mu=float(mu))
 
 
-def solve_bound(S, P, levels, f, g):
+def solve_bound(S, P, levels, g):
     """Exact optimum of the bound program for prism T(S) against P.
 
-    Enumerates binary x inside S; each contributes a feasible point (its
-    subset and f-value), since P's domain holds the cube and P admits every
-    t >= t_lo(x) there.  The prism is infeasible only when S holds no
-    binary point.  The hyperplane bound is mu when c* <= 0, and mu - c*
-    when c* > 0.  beta also folds in the direct enumeration bound
-    min_x(t_lo(x) - g(x)), which is valid for the subsets in the prism and
-    at least as tight: the hyperplane bound equals
+    Enumerates binary x inside S; each is a feasible point, since P's
+    domain holds the cube and P admits every t >= t_lo(x) there.  The
+    prism is infeasible only when S holds no binary point.  The hyperplane
+    bound is mu when c* <= 0, and mu - c* when c* > 0: for binary x in S,
+    the convex ghat lies below its chord, so with t_lo(x) <= f(x) every
+    subset in the prism has f - g >= mu - c*.  beta also folds in the
+    direct enumeration bound min_x(t_lo(x) - g(x)), which is valid for the
+    subsets in the prism and at least as tight: the hyperplane bound equals
     min_x(t_lo(x) - sum_i lambda_i ghat(v_i)) and the chord overestimates
-    the convex ghat at every x.
+    ghat at every x.
     """
     grid = binary_points(S.n)
     lam = S.barycentric_many(grid)
     masks = np.nonzero(np.min(lam, axis=1) >= -MEMBERSHIP_TOL)[0]
-    mu = levels.mu
     if len(masks) == 0:
-        return BoundResult(status=INFEASIBLE, beta=np.inf, mu=mu)
+        return BoundResult(status=INFEASIBLE, beta=np.inf)
 
+    mu = levels.mu
     t_lo = P.binary_t_lo()[masks]
     obj = lam[masks] @ levels.t - t_lo
     j = int(np.argmax(obj))  # first max: smallest mask wins ties
     best_obj = float(obj[j])
     mask = int(masks[j])
-    feasible = list(zip(masks.tolist(), f.values(masks).tolist()))
     direct = float(np.min(t_lo - g.values(masks)))
     beta = mu if best_obj <= 0.0 else mu - best_obj
     beta = max(beta, direct)
-    return BoundResult(status=SOLVED, beta=beta, mu=mu, c_star=best_obj,
+    return BoundResult(status=SOLVED, beta=beta, c_star=best_obj,
                        witness_x=grid[mask].copy(), witness_t=float(t_lo[j]),
-                       witness_lam=lam[mask].copy(), witness_mask=mask,
-                       feasible_points=feasible, feasible_t_lo=t_lo)
+                       witness_mask=mask, feasible_points=masks, feasible_t_lo=t_lo)
 
 
 def equivalence_check(S, P, levels, feas_tol=1e-9, tol=1e-8):

@@ -5,10 +5,16 @@ import json
 import sys
 
 from .baselines import greedy, ssp
-from .experiments import (FAMILIES, bench_to_csv, aggregate_bench, load_instance,
-                          run_bench, verify_corpus)
+from .experiments import (CORPUS_MAX_N, FAMILIES, bench_to_csv, aggregate_bench,
+                          load_instance, run_bench, verify_corpus)
 from .setfn import set_of
 from .solver import SolverConfig, solve
+
+
+def _fail(reason):
+    """Say on stderr why the command cannot run; returns the exit code 1."""
+    print("dsprism: %s" % reason, file=sys.stderr)
+    return 1
 
 
 def _load(path):
@@ -20,16 +26,19 @@ def _load(path):
         reason = "missing key %s" % exc
     except (OSError, TypeError, ValueError) as exc:
         reason = str(exc)
-    print("dsprism: cannot load instance %s: %s" % (path, reason), file=sys.stderr)
+    _fail("cannot load instance %s: %s" % (path, reason))
     return None
 
 
 def _cmd_solve(args):
+    try:
+        cfg = SolverConfig(eps=args.eps, max_iters=args.max_iters,
+                           trace_level=2 if args.trace else 1)
+    except ValueError as exc:
+        return _fail(exc)
     inst = _load(args.instance)
     if inst is None:
         return 1
-    cfg = SolverConfig(eps=args.eps, max_iters=args.max_iters,
-                       trace_level=2 if args.trace else 1)
     report = solve(inst.f, inst.g, cfg)
     payload = report.to_dict()
     trace = payload.pop("trace")
@@ -52,6 +61,9 @@ def _cmd_baseline(args):
     if inst is None:
         return 1
     if args.method == "ssp":
+        if not 0 <= args.init < 1 << inst.n:
+            return _fail("--init must be a subset mask in 0..%d, got %d"
+                         % ((1 << inst.n) - 1, args.init))
         out = ssp(inst.f, inst.g, init=args.init, seed=args.seed)
         payload = {"method": "ssp", "set": set_of(out.mask), "value": out.value,
                    "iterations": out.iterations, "seed": args.seed, "init": args.init}
@@ -80,7 +92,16 @@ def _cmd_bench(args):
 
 def _cmd_verify(args):
     families = list(FAMILIES) if args.families == "all" else args.families.split(",")
-    n_values = [int(s) for s in args.n.split(",")]
+    for family in families:
+        if family not in FAMILIES:
+            return _fail("unknown family %r (known: %s)" % (family, ", ".join(FAMILIES)))
+    try:
+        n_values = [int(s) for s in args.n.split(",")]
+    except ValueError:
+        return _fail("--n must be comma-separated integers, got %r" % args.n)
+    for n in n_values:
+        if not 1 <= n <= CORPUS_MAX_N:
+            return _fail("--n values must lie in 1..%d, got %d" % (CORPUS_MAX_N, n))
     mismatches = verify_corpus(n_values, families, args.reps, args.seed)
     if mismatches:
         for m in mismatches:

@@ -22,6 +22,7 @@ from .solver import SolverConfig, solve
 
 FAMILIES = ("cut_minus_modular", "coverage_minus_coverage",
             "nuclear_minus_residual", "table_random_submodular_pair")
+CORPUS_MAX_N = 10  # largest ground set gen_random_ds draws
 
 BENCH_FIELDS = ["method", "p", "n", "k", "lambda", "seed",
                 "objective", "card", "train_err", "test_err", "wall_ms"]
@@ -187,8 +188,8 @@ def gen_random_ds(n, family, seed):
     verified submodular by the exhaustive four-point check before release."""
     if family not in _GENERATORS:
         raise ValueError("unknown family %r" % family)
-    if n > 10:
-        raise ValueError("corpus instances are capped at n=10")
+    if n > CORPUS_MAX_N:
+        raise ValueError("corpus instances are capped at n=%d" % CORPUS_MAX_N)
     rng = np.random.default_rng(FAMILIES.index(family) * 1_000_003 + 7919 * n + seed)
     for _ in range(100):
         f, g = _GENERATORS[family](n, rng)

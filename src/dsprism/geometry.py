@@ -1,4 +1,4 @@
-"""Simplices, prisms and polyhedra for the branch-and-bound search.
+"""Simplices and polyhedra for the branch-and-bound search.
 
 All values are immutable after construction; operations return fresh
 objects.  The polyhedron lives in (x, t)-space and outer-approximates the
@@ -89,18 +89,6 @@ class Simplex:
 
     def __repr__(self):
         return "Simplex(n=%d)" % self.n
-
-
-class Prism:
-    """Vertical extension of a simplex into (x, t)-space; t is unbounded."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base):
-        self.base = base
-
-    def __repr__(self):
-        return "Prism(%r)" % self.base
 
 
 def barycentric(S, x):

@@ -80,12 +80,6 @@ class SetFunction:
         return "SetFunction(n=%d, %s)" % (self.n, self.name)
 
 
-def evaluate(oracle, subset):
-    """Evaluate an oracle on a subset given as a mask or an iterable."""
-    mask = subset if isinstance(subset, int) else mask_of(subset)
-    return oracle(mask)
-
-
 # ---------------------------------------------------------------------------
 # Library constructors
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import geometry
 from .bound import INFEASIBLE, solve_bound, vertex_levels
-from .geometry import (Prism, add_cut, barycentric, binary_points, bisect,
+from .geometry import (Simplex, add_cut, barycentric, binary_points, bisect,
                        initial_polyhedron, initial_simplex, radial_subdivide)
 from .setfn import (GroundSetError, as_table, brute_force_min, lovasz,
                     lovasz_subgradient, set_of)
@@ -25,7 +25,6 @@ class SolverConfig:
     max_iters: int = 200_000
     max_nodes: int = 500_000
     initial_vertex: int = 0  # cube vertex (mask) anchoring the initial simplex
-    seed: int = 0  # recorded for provenance; the solver itself is deterministic
     trace_level: int = 1
 
     def __post_init__(self):
@@ -40,10 +39,9 @@ class SolverConfig:
 
 @dataclass
 class Node:
-    prism: Prism
+    simplex: Simplex  # base of the node's prism
     beta: float
     bound: object  # BoundResult
-    depth: int
     id: int
     rows_seen: int  # P row count the stored bound was computed against
 
@@ -135,20 +133,29 @@ def solve(f, g, config=None, observer=None):
     ft = as_table(f)
     gt = as_table(g)
 
-    # incumbent seed: empty set, singletons, co-singletons, full set
-    full = (1 << n) - 1
-    sweep = [0] + [1 << i for i in range(n)] + [full ^ (1 << i) for i in range(n)] + [full]
-    inc_mask = 0
-    inc_val = ft(0) - gt(0)
-    for m in sweep[1:]:
-        v = ft(m) - gt(m)
-        if v < inc_val:
-            inc_val = v
-            inc_mask = m
-    alpha_history = [(0, inc_val)]
+    inc_mask, inc_val = None, np.inf
+    alpha_history = []
+    iteration = 0
 
-    def eps_eff():
-        return cfg.eps * max(1.0, abs(inc_val))
+    def update_incumbent(masks):
+        """Make the best of masks (the first on ties) the incumbent when it
+        improves on it; the one place f - g is minimized during a solve."""
+        nonlocal inc_mask, inc_val
+        if len(masks) == 0:
+            return
+        vals = ft.values(masks) - gt.values(masks)
+        j = int(np.argmin(vals))
+        if vals[j] < inc_val:
+            inc_val = float(vals[j])
+            inc_mask = int(masks[j])
+            alpha_history.append((iteration, inc_val))
+            _emit(observer, "incumbent", mask=inc_mask, value=inc_val,
+                  iteration=iteration)
+
+    # incumbent seed: empty set, singletons, co-singletons, full set, anchor
+    full = (1 << n) - 1
+    update_incumbent(np.array([0] + [1 << i for i in range(n)]
+                              + [full ^ (1 << i) for i in range(n)] + [full, anchor]))
 
     _, t_tilde = brute_force_min(ft)
     S0 = initial_simplex(n, anchor)
@@ -160,28 +167,12 @@ def solve(f, g, config=None, observer=None):
     cuts_added = 0
     closed_bounds = []  # certified lower bounds of all pruned regions
     trace = []
-    iteration = 0
 
     heap = []
     active = {}
     next_id = 0
     ghat_cache = {}
     cut_done = np.zeros(1 << n, dtype=bool)  # binary points cut at so far
-
-    def update_incumbent(points):
-        nonlocal inc_mask, inc_val
-        if not points:
-            return
-        ms = np.fromiter((p[0] for p in points), dtype=np.int64, count=len(points))
-        fv = np.fromiter((p[1] for p in points), dtype=float, count=len(points))
-        vals = fv - gt.table_values[ms]
-        j = int(np.argmin(vals))  # first min: smallest mask wins ties
-        if vals[j] < inc_val:
-            inc_val = float(vals[j])
-            inc_mask = int(ms[j])
-            alpha_history.append((iteration, inc_val))
-            _emit(observer, "incumbent", mask=inc_mask, value=inc_val,
-                  iteration=iteration)
 
     def classify(res, beta):
         """Deletion rule that closes a region whose bound program gave res
@@ -190,7 +181,7 @@ def solve(f, g, config=None, observer=None):
             return "dr1"
         if res is not None and res.c_star <= 0.0:
             return "dr2"
-        if beta >= inc_val - eps_eff():
+        if beta >= inc_val - cfg.eps * max(1.0, abs(inc_val)):
             return "bound"
         return None
 
@@ -208,8 +199,8 @@ def solve(f, g, config=None, observer=None):
         P and feed its binary points to the incumbent; a new region reports
         a node_bound event.  Closes the region when a deletion rule applies.
         Returns (bound result, tightened beta, deletion reason or None)."""
-        levels = vertex_levels(S, inc_val, ft, gt, ghat_cache)
-        res = solve_bound(S, P, levels, ft, gt)
+        levels = vertex_levels(S, inc_val, gt, ghat_cache)
+        res = solve_bound(S, P, levels, gt)
         update_incumbent(res.feasible_points)
         if new:
             _emit(observer, "node_bound", node_id=nid, simplex=S, polyhedron=P,
@@ -220,7 +211,7 @@ def solve(f, g, config=None, observer=None):
             close(nid, reason, S, beta)
         return res, beta, reason
 
-    def bound_child(S, parent_beta, parent_depth):
+    def bound_child(S, parent_beta):
         """Solve the bound problem for a child simplex; returns (node_or_None,
         trace entry).  Deleted children close their region with a certified
         bound recorded in closed_bounds."""
@@ -233,12 +224,11 @@ def solve(f, g, config=None, observer=None):
                  "beta": None if reason == "dr1" else beta, "deleted_by": reason}
         if reason is not None:
             return None, entry
-        node = Node(prism=Prism(S), beta=beta, bound=res, depth=parent_depth + 1,
-                    id=nid, rows_seen=P.num_rows)
+        node = Node(simplex=S, beta=beta, bound=res, id=nid, rows_seen=P.num_rows)
         return node, entry
 
     # root
-    root, root_entry = bound_child(S0, -np.inf, -1)
+    root, root_entry = bound_child(S0, -np.inf)
     if root is not None:
         active[root.id] = root
         heapq.heappush(heap, (root.beta, root.id))
@@ -266,7 +256,7 @@ def solve(f, g, config=None, observer=None):
                 heapq.heappop(heap)
                 continue
             heapq.heappop(heap)
-            S = cand.prism.base
+            S = cand.simplex
             if classify(None, cand.beta):
                 close(nid, "bound", S, cand.beta)
                 continue
@@ -282,7 +272,6 @@ def solve(f, g, config=None, observer=None):
                     heapq.heappush(heap, (new_beta, nid))
                     continue
             node = cand
-            beta_k = cand.beta
             del active[nid]
             break
         if node is None:
@@ -294,15 +283,12 @@ def solve(f, g, config=None, observer=None):
 
         alpha_before = inc_val
         res = node.bound
-        z_x, z_t = res.witness_x, res.witness_t
 
         # separate every binary point of the node the outer approximation
         # still underestimates (the witness among them); each such cut is
         # strictly separating, and each point needs one cut ever
-        masks = np.fromiter((p[0] for p in res.feasible_points), dtype=np.int64,
-                            count=len(res.feasible_points))
-        t_lo = res.feasible_t_lo
-        need = (ft.table_values[masks] > t_lo + cfg.feas_tol) & ~cut_done[masks]
+        masks, t_lo = res.feasible_points, res.feasible_t_lo
+        need = (ft.values(masks) > t_lo + cfg.feas_tol) & ~cut_done[masks]
         masks, t_lo = masks[need], t_lo[need]
         if len(masks):
             X = binary_points(n)[masks]
@@ -324,15 +310,14 @@ def solve(f, g, config=None, observer=None):
         # mu - (f-g)(x*) <= 0, so each binary point is selected at most once
         # per branch and termination is finite.  When the witness already is
         # a vertex, fall back to longest-edge bisection.
-        base = node.prism.base
-        lam_w = barycentric(base, z_x)
-        if np.max(lam_w) >= 1.0 - 1e-9:
+        base = node.simplex
+        if np.max(barycentric(base, res.witness_x)) >= 1.0 - 1e-9:
             subs = bisect(base)
         else:
-            subs = radial_subdivide(base, z_x)
+            subs = radial_subdivide(base, res.witness_x)
         children = []
         for S in subs:
-            child, entry = bound_child(S, node.beta, node.depth)
+            child, entry = bound_child(S, node.beta)
             children.append(entry)
             if child is not None:
                 active[child.id] = child
@@ -344,11 +329,11 @@ def solve(f, g, config=None, observer=None):
         for oid in (list(active) if inc_val < alpha_before else ()):
             other = active[oid]
             if classify(None, other.beta):
-                close(oid, "bound", other.prism.base, other.beta)
+                close(oid, "bound", other.simplex, other.beta)
                 pruned.append(oid)
 
         if cfg.trace_level >= 1:
-            trace.append({"iter": iteration, "node_id": nid, "beta": beta_k,
+            trace.append({"iter": iteration, "node_id": nid, "beta": node.beta,
                           "alpha": inc_val, "action": action, "children": children,
                           "cuts_total": cuts_added, "pruned": pruned})
 
@@ -373,8 +358,6 @@ def solve(f, g, config=None, observer=None):
         termination_reason=termination,
         final_gap=final_gap,
         alpha_history=alpha_history,
-        config={"eps": cfg.eps, "feas_tol": cfg.feas_tol, "max_iters": cfg.max_iters,
-                "max_nodes": cfg.max_nodes, "initial_vertex": cfg.initial_vertex,
-                "seed": cfg.seed, "trace_level": cfg.trace_level},
+        config=asdict(cfg),
         trace=trace,
     )

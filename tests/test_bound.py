@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dsprism import setfn
-from dsprism.bound import (INFEASIBLE, SOLVED, binary_points,
-                           binary_vertex_indices, compute_mu, equivalence_check,
+from dsprism.bound import (INFEASIBLE, SOLVED, binary_points, equivalence_check,
                            solve_bound, vertex_levels)
 from dsprism.geometry import Simplex, add_cut, initial_polyhedron, initial_simplex
 from dsprism.setfn import indicator, lovasz, lovasz_subgradient
@@ -26,25 +25,17 @@ def test_binary_points_grid():
     assert np.array_equal(grid[5], [1.0, 0.0, 1.0])  # mask-indexed rows
 
 
-def test_binary_vertex_indices():
-    S = Simplex(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 2.0]]))
-    assert binary_vertex_indices(S) == [0, 1]
-    S2 = initial_simplex(2)
-    assert binary_vertex_indices(S2) == [0]
-
-
-def test_compute_mu_and_levels_worked_example():
+def test_vertex_levels_worked_example():
     f, g, S, P = worked_instance()
-    mu = compute_mu(S, -1.0, f, g)
-    assert mu == -1.0  # both vertices binary: min(alpha, 0-0, 1-2)
-    levels = vertex_levels(S, -1.0, f, g)
+    levels = vertex_levels(S, -1.0, g)
+    assert levels.mu == -1.0
     assert np.allclose(levels.t, [-1.0, 1.0])  # ghat(v) + mu
 
 
 def test_solve_bound_worked_example():
     f, g, S, P = worked_instance()
-    levels = vertex_levels(S, -1.0, f, g)
-    res = solve_bound(S, P, levels, f, g)
+    levels = vertex_levels(S, -1.0, g)
+    res = solve_bound(S, P, levels, g)
     assert res.status == SOLVED
     assert res.c_star == pytest.approx(1.0)
     assert np.array_equal(res.witness_x, [1.0])
@@ -52,16 +43,17 @@ def test_solve_bound_worked_example():
     assert res.witness_mask == 1
     # hyperplane bound mu - c* = -2 coincides with the direct bound here
     assert res.beta == pytest.approx(-2.0)
-    assert sorted(m for m, _ in res.feasible_points) == [0, 1]
-    assert res.feasible_points[1][1] == pytest.approx(f(1))
+    assert res.feasible_points.dtype == np.int64
+    assert np.array_equal(res.feasible_points, [0, 1])
+    assert np.array_equal(res.feasible_t_lo, [0.0, 0.0])  # the floor at both points
 
 
 def test_solve_bound_after_cut_closes():
     # the cut x - t <= 0 lifts t_lo(1) to f(1); c* drops to 0
     f, g, S, P = worked_instance()
     P = add_cut(P, (np.array([1.0]), -1.0, 0.0))
-    levels = vertex_levels(S, -1.0, f, g)
-    res = solve_bound(S, P, levels, f, g)
+    levels = vertex_levels(S, -1.0, g)
+    res = solve_bound(S, P, levels, g)
     assert res.c_star == pytest.approx(0.0)
     assert res.beta == pytest.approx(-1.0)
 
@@ -73,36 +65,35 @@ def test_bound_monotone_in_polyhedron():
     g = setfn.as_table(setfn.modular(rng.normal(size=n)))
     S = initial_simplex(n)
     P = initial_polyhedron(S, t_tilde=0.0)
-    levels = vertex_levels(S, 0.0, f, g)
-    prev = solve_bound(S, P, levels, f, g).beta
+    levels = vertex_levels(S, 0.0, g)
+    prev = solve_bound(S, P, levels, g).beta
     for mask in (1, 3, 5):
         x = indicator(mask, n)
         s = lovasz_subgradient(f, x)
         P = add_cut(P, (s, -1.0, lovasz(f, x) - float(s @ x)))
-        cur = solve_bound(S, P, levels, f, g).beta
+        cur = solve_bound(S, P, levels, g).beta
         assert cur >= prev - 1e-12
         prev = cur
 
 
 def test_infeasible_when_no_binary_point():
-    f = setfn.table(2, [0.0, 1.0, 1.0, 2.0])
     g = setfn.table(2, [0.0, 0.5, 0.5, 1.0])
     S = Simplex(np.array([[0.2, 0.2], [0.4, 0.2], [0.2, 0.4]]))
     P = initial_polyhedron(initial_simplex(2), t_tilde=0.0)
-    levels = vertex_levels(S, 0.0, f, g)
-    res = solve_bound(S, P, levels, f, g)
+    levels = vertex_levels(S, 0.0, g)
+    res = solve_bound(S, P, levels, g)
     assert res.status == INFEASIBLE
     assert res.beta == np.inf
+    assert res.feasible_points.dtype == np.int64 and res.feasible_points.shape == (0,)
 
 
 def test_smallest_mask_wins_objective_ties():
     # simplex excludes (1,1); the two singletons tie and mask 1 must win
-    f = setfn.table(2, [0.0, 1.0, 1.0, 2.0])
     g = setfn.table(2, [0.0, 2.0, 2.0, 4.0])
     S = Simplex(np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]]))
     P = initial_polyhedron(initial_simplex(2), t_tilde=0.0)
-    levels = vertex_levels(S, -1.0, f, g)
-    res = solve_bound(S, P, levels, f, g)
+    levels = vertex_levels(S, -1.0, g)
+    res = solve_bound(S, P, levels, g)
     assert res.c_star == pytest.approx(1.0)
     assert res.witness_mask == 1
 
@@ -112,19 +103,18 @@ def test_equivalence_of_bilp_and_hyperplane_forms():
     for n in (2, 3):
         vals_f = rng.normal(size=1 << n)
         vals_g = rng.normal(size=1 << n)
-        f = setfn.table(n, vals_f)
         g = setfn.table(n, vals_g)
         S = initial_simplex(n)
         P = initial_polyhedron(S, t_tilde=float(np.min(vals_f)))
-        levels = vertex_levels(S, 0.0, f, g)
+        levels = vertex_levels(S, 0.0, g)
         assert equivalence_check(S, P, levels)
 
 
 def test_determinism():
     f, g, S, P = worked_instance()
-    levels = vertex_levels(S, -1.0, f, g)
-    a = solve_bound(S, P, levels, f, g)
-    b = solve_bound(S, P, levels, f, g)
+    levels = vertex_levels(S, -1.0, g)
+    a = solve_bound(S, P, levels, g)
+    b = solve_bound(S, P, levels, g)
     assert a.beta == b.beta and a.c_star == b.c_star
     assert a.witness_mask == b.witness_mask
 
@@ -132,7 +122,8 @@ def test_determinism():
 def assert_same_bound(a, b):
     assert (a.status, a.beta, a.c_star, a.witness_mask) == (b.status, b.beta, b.c_star,
                                                             b.witness_mask)
-    assert a.feasible_points == b.feasible_points
+    assert a.feasible_points.dtype == b.feasible_points.dtype == np.int64
+    assert np.array_equal(a.feasible_points, b.feasible_points)
     assert np.array_equal(a.feasible_t_lo, b.feasible_t_lo)
 
 
@@ -150,7 +141,7 @@ def test_solve_bound_on_grown_polyhedron_matches_fresh():
     g = setfn.as_table(setfn.modular(rng.normal(size=n)))
     S = initial_simplex(n)
     sub = Simplex(np.array([[0.0] * n] + [list(2.0 * np.eye(n)[i]) for i in range(n)]))
-    levels = {T: vertex_levels(T, 0.0, f, g) for T in (S, sub)}
+    levels = {T: vertex_levels(T, 0.0, g) for T in (S, sub)}
     P = initial_polyhedron(S, t_tilde=-3.0)
     grown = [P]
     for mask in (3, 5, 6, 9, 12, 15):
@@ -159,9 +150,9 @@ def test_solve_bound_on_grown_polyhedron_matches_fresh():
         P = add_cut(P, (s, -1.0, lovasz(f, x) - float(s @ x)))
         grown.append(P)
         for T in (S, sub):
-            assert_same_bound(solve_bound(T, P, levels[T], f, g),
-                              solve_bound(T, fresh_copy(P), levels[T], f, g))
+            assert_same_bound(solve_bound(T, P, levels[T], g),
+                              solve_bound(T, fresh_copy(P), levels[T], g))
     for Q in (grown[2], grown[-1], grown[0], grown[-1]):
         for T in (S, sub):
-            assert_same_bound(solve_bound(T, Q, levels[T], f, g),
-                              solve_bound(T, fresh_copy(Q), levels[T], f, g))
+            assert_same_bound(solve_bound(T, Q, levels[T], g),
+                              solve_bound(T, fresh_copy(Q), levels[T], g))

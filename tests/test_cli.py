@@ -94,3 +94,32 @@ def test_malformed_instance_exits_with_message(command, text, reason, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("dsprism: cannot load instance %s: " % path)
     assert reason in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    pytest.param(["solve", "--max-iters", "-1"], "max_iters must be nonnegative, got -1",
+                 id="solve_negative_max_iters"),
+    pytest.param(["solve", "--eps", "nan"], "eps must be finite and nonnegative, got nan",
+                 id="solve_nan_eps"),
+    pytest.param(["baseline", "--method", "ssp", "--init", "9"],
+                 "--init must be a subset mask in 0..3, got 9", id="ssp_init_outside_cube"),
+    pytest.param(["verify", "--n", "11"], "--n values must lie in 1..10, got 11",
+                 id="verify_n_too_large"),
+    pytest.param(["verify", "--n", "3,x"], "--n must be comma-separated integers, got '3,x'",
+                 id="verify_n_not_integer"),
+    pytest.param(["verify", "--families", "nope"], "unknown family 'nope'",
+                 id="verify_unknown_family"),
+])
+def test_bad_argument_exits_with_message(argv, reason, tmp_path, capsys):
+    # rejected before any solve, with a one-line reason and no traceback
+    path = tmp_path / "n2.json"
+    path.write_text(json.dumps(gen_random_ds(2, "cut_minus_modular", 0).to_dict()))
+    if argv[0] != "verify":
+        argv = argv + ["--instance", str(path)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("dsprism: " + reason)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
+    assert captured.out == ""

@@ -4,6 +4,8 @@ function, argument or attribute fails here rather than in a benchmark run."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from dsprism import bound, setfn, solver
 from dsprism.experiments import gen_random_ds
 
@@ -18,11 +20,19 @@ def test_tracer_and_bound_probe_wrap_one_solve():
     inst = gen_random_ds(4, "cut_minus_modular", 0)
     oracle_call = setfn.SetFunction.__call__
     tracer, probe = tracing.Tracer(), tracing.BoundProbe()
+    bounds, inside = [], []
+
+    def observer(event, data):
+        if event == "node_bound":
+            bounds.append(data["bound"])
+            lam = data["simplex"].barycentric_many(bound.binary_points(inst.n))
+            inside.append(int(np.sum(np.min(lam, axis=1) >= -bound.MEMBERSHIP_TOL)))
+
     tracer.install()
     try:
         probe.install()
         try:
-            rep = solver.solve(inst.f, inst.g)
+            rep = solver.solve(inst.f, inst.g, observer=observer)
         finally:
             probe.uninstall()
     finally:
@@ -34,6 +44,12 @@ def test_tracer_and_bound_probe_wrap_one_solve():
             "bound.vertex_levels", "geometry.add_cut", "solver.cutting_plane"} <= spanned
     feasible, cells = probe.take()
     assert feasible > 0 and cells >= feasible
+    # every bound call of this solve reports a node_bound event (none is a
+    # refresh at selection), so the probe counts the binary points of the
+    # bounded simplices, one per feasible point
+    assert list(nid).count(tracer.names.index("bound.solve_bound")) == len(bounds)
+    assert [len(b.feasible_points) for b in bounds] == inside
+    assert feasible == sum(inside)
     assert probe.rows_max > 1
     # uninstalling restores every wrapped name
     assert solver.solve_bound is bound.solve_bound

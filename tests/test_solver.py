@@ -263,8 +263,16 @@ def test_solver_matches_brute_force_spot():
 
 
 def test_initial_vertex_anchor_changes_search_not_answer():
-    inst = gen_random_ds(4, "coverage_minus_coverage", 7)
-    base = solve(inst.f, inst.g)
-    for v in (1, 5, 15):
-        rep = solve(inst.f, inst.g, SolverConfig(initial_vertex=v))
-        assert rep.optimal_value == pytest.approx(base.optimal_value, abs=1e-9)
+    # every anchor finds the optimum, and each incumbent update, the seed's
+    # included, is one alpha_history entry and one incumbent event
+    for n in (3, 4):
+        for family in FAMILIES:
+            inst = gen_random_ds(n, family, 7)
+            _, best = brute_force_ds_min(as_table(inst.f), as_table(inst.g))
+            for v in range(1 << n):
+                events = []
+                rep = solve(inst.f, inst.g, SolverConfig(initial_vertex=v),
+                            observer=lambda event, data: events.append((event, data)))
+                assert rep.optimal_value == pytest.approx(best, abs=1e-9)
+                assert rep.alpha_history == [(d["iteration"], d["value"])
+                                             for e, d in events if e == "incumbent"]
