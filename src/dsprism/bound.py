@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import binary_points, hyperplane_through
+from .geometry import MEMBERSHIP_TOL, barycentric, binary_points, hyperplane_through
 from .setfn import lovasz
-
-MEMBERSHIP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,22 +43,12 @@ class BoundResult:
     feasible_t_lo: np.ndarray = None  # per feasible point, lowest t in P
 
 
-def vertex_levels(S, mu, g, ghat_cache=None):
+def vertex_levels(S, mu, g):
     """Levels t_i = ghat(v_i) + mu at the simplex vertices.
 
     The bound is valid for any mu; the solver passes the incumbent value.
-    ghat_cache, when given, memoizes ghat by vertex bytes; vertices are
-    shared between parent and child simplices, so the cache saves most
-    extension evaluations during a solve.
     """
-    cache = {} if ghat_cache is None else ghat_cache
-    gh = np.empty(S.n + 1)
-    for i, v in enumerate(S.vertices):
-        key = v.tobytes()
-        if key not in cache:
-            cache[key] = lovasz(g, v)
-        gh[i] = cache[key]
-    return VertexLevels(t=gh + mu, mu=float(mu))
+    return VertexLevels(t=lovasz(g, S.vertices) + mu, mu=float(mu))
 
 
 def solve_bound(S, P, levels, g):
@@ -78,7 +66,7 @@ def solve_bound(S, P, levels, g):
     ghat at every x.
     """
     grid = binary_points(S.n)
-    lam = S.barycentric_many(grid)
+    lam = barycentric(S, grid)
     masks = np.nonzero(np.min(lam, axis=1) >= -MEMBERSHIP_TOL)[0]
     if len(masks) == 0:
         return BoundResult(status=INFEASIBLE, beta=np.inf)
@@ -97,34 +85,21 @@ def solve_bound(S, P, levels, g):
                        witness_mask=mask, feasible_points=masks, feasible_t_lo=t_lo)
 
 
-def equivalence_check(S, P, levels, feas_tol=1e-9, tol=1e-8):
+def equivalence_check(S, P, levels, tol=1e-8):
     """Cross-check the bound program against its hyperplane form.
 
-    Verifies that on every feasible binary point the two objectives differ
-    by the constant gamma, and that the optimal values satisfy
+    Verifies that on every binary point in S the two objectives differ by
+    the constant gamma, and that the optimal values satisfy
     gamma* = c* + gamma.  Returns True when everything agrees.
     """
     p, gamma = hyperplane_through(S.vertices, levels.t)
-    n = S.n
-    grid = binary_points(n)
-    lam = S.barycentric_many(grid)
+    grid = binary_points(S.n)
+    lam = barycentric(S, grid)
     inside = np.min(lam, axis=1) >= -MEMBERSHIP_TOL
-
-    best_mip = None
-    best_hyp = None
-    for mask in np.nonzero(inside)[0]:
-        mask = int(mask)
-        x = grid[mask]
-        iv = P.t_interval(x, tol=feas_tol)
-        if iv is None:
-            continue
-        t_lo = iv[0]
-        obj_mip = float(levels.t @ lam[mask]) - t_lo
-        obj_hyp = float(p @ x) - t_lo
-        if abs(obj_hyp - (obj_mip + gamma)) > tol:
-            return False
-        best_mip = obj_mip if best_mip is None else max(best_mip, obj_mip)
-        best_hyp = obj_hyp if best_hyp is None else max(best_hyp, obj_hyp)
-    if best_mip is None:
+    if not inside.any():
         return True
-    return abs(best_hyp - (best_mip + gamma)) <= tol
+    t_lo = P.binary_t_lo()[inside]
+    obj_mip = lam[inside] @ levels.t - t_lo
+    obj_hyp = grid[inside] @ p - t_lo
+    return bool(np.all(np.abs(obj_hyp - (obj_mip + gamma)) <= tol)
+                and abs(np.max(obj_hyp) - (np.max(obj_mip) + gamma)) <= tol)

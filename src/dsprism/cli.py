@@ -2,10 +2,11 @@
 
 import argparse
 import json
+import math
 import sys
 
 from .baselines import greedy, ssp
-from .experiments import (CORPUS_MAX_N, FAMILIES, bench_to_csv, aggregate_bench,
+from .experiments import (CORPUS_MAX_N, FAMILIES, FsInstanceSpec, bench_to_csv,
                           load_instance, run_bench, verify_corpus)
 from .setfn import set_of
 from .solver import SolverConfig, solve
@@ -78,7 +79,17 @@ def _cmd_baseline(args):
 
 
 def _cmd_bench(args):
-    lambdas = [float(s) for s in args.lambdas.split(",")]
+    try:
+        lambdas = [float(s) for s in args.lambdas.split(",")]
+        if not all(math.isfinite(lam) and lam >= 0 for lam in lambdas):
+            raise ValueError
+    except ValueError:
+        return _fail("--lambdas must be comma-separated finite nonnegative numbers, got %r"
+                     % args.lambdas)
+    try:
+        FsInstanceSpec(p=args.p, n_samples=args.n, k=args.k, lam=1.0, seed=args.seed)
+    except ValueError as exc:
+        return _fail(exc)
     rows, aggregates = run_bench(p=args.p, n_samples=args.n, k=args.k,
                                  lambdas=lambdas, reps=args.reps, seed=args.seed)
     with open(args.out, "w") as fh:
@@ -151,6 +162,11 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
+    if args.cmd in ("bench", "verify"):
+        if args.reps < 1:
+            return _fail("--reps must be at least 1, got %d" % args.reps)
+        if args.seed < 0:
+            return _fail("--seed must be nonnegative, got %d" % args.seed)
     return args.fn(args)
 
 

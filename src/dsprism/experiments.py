@@ -69,7 +69,9 @@ class FsInstanceSpec:
 
     def __post_init__(self):
         if not (0 < self.k <= self.p) or self.n_samples <= 0 or self.lam < 0:
-            raise ValueError("invalid feature-selection spec")
+            raise ValueError("invalid feature-selection spec: need 0 < k <= p, n_samples > 0 "
+                             "and lam >= 0, got p=%r, n_samples=%r, k=%r, lam=%r"
+                             % (self.p, self.n_samples, self.k, self.lam))
 
 
 @dataclass

@@ -14,7 +14,8 @@ from .numerics import SingularMatrixError, det, lu_factor, lu_solve, lu_solve_fa
 from .setfn import indicator
 
 DEGENERACY_TOL = 1e-12
-BARY_TOL = 1e-12
+# x lies in a simplex when every barycentric coordinate is >= -MEMBERSHIP_TOL
+MEMBERSHIP_TOL = 1e-12
 
 
 class DegenerateSimplexError(ValueError):
@@ -78,13 +79,7 @@ class Simplex:
         diff = V[:, None, :] - V[None, :, :]
         return float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
 
-    def barycentric_many(self, X):
-        """Barycentric coordinates for the rows of X; returns (m, n+1)."""
-        X = np.asarray(X, dtype=float)
-        aug = np.hstack([X, np.ones((X.shape[0], 1))])
-        return aug @ self._minv.T
-
-    def contains(self, x, tol=BARY_TOL):
+    def contains(self, x, tol=MEMBERSHIP_TOL):
         return bool(np.min(barycentric(self, x)) >= -tol)
 
     def __repr__(self):
@@ -92,9 +87,11 @@ class Simplex:
 
 
 def barycentric(S, x):
-    """The unique lambda with sum(lambda) = 1 and sum(lambda_i v_i) = x."""
+    """The unique lambda with sum(lambda) = 1 and sum(lambda_i v_i) = x, at
+    a point x (n,) or for each row of a block (m, n); returns (n+1,) or
+    (m, n+1)."""
     x = np.asarray(x, dtype=float)
-    return S._minv @ np.append(x, 1.0)
+    return np.append(x, np.ones(x.shape[:-1] + (1,)), axis=-1) @ S._minv.T
 
 
 def initial_simplex(n, v_mask=0):

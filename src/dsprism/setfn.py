@@ -71,10 +71,14 @@ class SetFunction:
     def values(self, masks):
         """Values at an integer array of masks, same shape: a table lookup
         when tabulated, else one oracle call per mask."""
-        if self.table_values is not None:
-            return self.table_values[masks]
         masks = np.asarray(masks)
-        return np.array([self(int(m)) for m in masks.ravel()]).reshape(masks.shape)
+        if self.table_values is None:  # each call rejects a mask outside
+            return np.array([self(int(m)) for m in masks.ravel()]).reshape(masks.shape)
+        outside = masks >> self.n  # nonzero for a negative mask or one >= 2^n
+        if outside.any():
+            raise GroundSetError("mask %d outside ground set of size %d"
+                                 % (masks[outside != 0][0], self.n))
+        return self.table_values[masks]
 
     def __repr__(self):
         return "SetFunction(n=%d, %s)" % (self.n, self.name)
@@ -306,26 +310,38 @@ def _chain_order(x):
 def _chain_values(oracle, order):
     """Values of the oracle along the prefix chain of an element order,
     starting from the empty set: n+1 values per order (last axis)."""
-    chain = np.cumsum(np.left_shift(1, order), axis=-1)
-    chain = np.concatenate([np.zeros_like(chain[..., :1]), chain], axis=-1)
+    chain = np.zeros(order.shape[:-1] + (order.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(np.left_shift(1, order), axis=-1, out=chain[..., 1:])
     return oracle.values(chain)
 
 
 def lovasz(oracle, x):
-    """Lovász extension value at x (offset by f(empty) so that the extension
-    agrees with the set function at every characteristic vector)."""
+    """Lovász extension value at a point x, or one value per row of a
+    (k, n) block of points; offset by f(empty) so that the extension agrees
+    with the set function at every characteristic vector."""
     x = np.asarray(x, dtype=float)
     n = oracle.n
-    if len(x) != n:
+    if x.shape[-1] != n:
         raise GroundSetError("point has wrong dimension")
+    X = x.reshape(-1, n)
+    out = np.empty(len(X))
     # exact at characteristic vectors: the chain sum telescopes to the set
-    # value, so return it without accumulating rounding
-    bits = x == 1.0
-    if np.all(bits | (x == 0.0)):
-        return oracle(int(np.sum(np.left_shift(1, np.nonzero(bits)[0]))))
-    order = _chain_order(x)
-    cv = _chain_values(oracle, order)
-    return float(cv[0] + x[order] @ np.diff(cv))
+    # value, so a binary row takes that one value without accumulating
+    # rounding; every other row sums its chain with one x.diff dot.  A
+    # single point skips the boolean indexing, which would dominate its cost
+    binary = ((X == 0.0) | (X == 1.0)).all(axis=1)
+    k = np.count_nonzero(binary)
+    if k:
+        B = X if k == len(X) else X[binary]
+        out[binary] = oracle.values(B.astype(np.int64) @ np.left_shift(1, np.arange(n)))
+    if k < len(X):
+        R = X if k == 0 else X[~binary]
+        order = _chain_order(R)
+        cv = _chain_values(oracle, order)
+        xo = R[np.arange(len(R))[:, None], order]
+        diff = cv[:, 1:] - cv[:, :-1]
+        out[~binary] = cv[:, 0] + np.matmul(xo[:, None, :], diff[:, :, None])[:, 0, 0]
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def lovasz_subgradient(oracle, x):

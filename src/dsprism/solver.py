@@ -18,20 +18,21 @@ from .setfn import (GroundSetError, as_table, brute_force_min, lovasz,
                     lovasz_subgradient, set_of)
 
 
+# a cut separates a point whose fhat exceeds its level by more than this
+FEAS_TOL = 1e-9
+
+
 @dataclass
 class SolverConfig:
     eps: float = 1e-9
-    feas_tol: float = 1e-9
     max_iters: int = 200_000
     max_nodes: int = 500_000
     initial_vertex: int = 0  # cube vertex (mask) anchoring the initial simplex
     trace_level: int = 1
 
     def __post_init__(self):
-        for name in ("eps", "feas_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError("%s must be finite and nonnegative, got %r" % (name, value))
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("eps must be finite and nonnegative, got %r" % (self.eps,))
         for name in ("max_iters", "max_nodes"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be nonnegative, got %r" % (name, getattr(self, name)))
@@ -77,39 +78,24 @@ def is_feasible_point(f, x, t, tol=1e-9):
     return lovasz(f, x) <= t + tol
 
 
-def cutting_plane(f, x_star, t_star, feas_tol=1e-9):
+def cutting_plane(f, x_star, t_star, feas_tol=FEAS_TOL):
     """Separating cut at an infeasible witness z = (x*, t*).
 
     Returns (s, c, d) encoding l(x, t) = s.x + c*t + d <= 0 with
     l(z) = fhat(x*) - t* > 0 and l <= 0 on the whole epigraph region.
-
-    Given a (k, n) block of binary points x* and their k levels t*, returns
-    one cut per point, s of shape (k, n) and c, d of length k, in one pass
-    over the oracle's chains: at a binary point the Edmonds chain takes the
-    point's ones in ascending order, then its zeros.
+    Given a (k, n) block of points x* and their k levels t*, returns one
+    cut per point: s of shape (k, n), c and d of length k.
     """
     x_star = np.asarray(x_star, dtype=float)
-    if x_star.ndim == 2:
-        return _binary_cutting_planes(f, x_star, np.asarray(t_star, dtype=float), feas_tol)
     fhat = lovasz(f, x_star)
-    if fhat <= t_star + feas_tol:
+    if np.any(fhat <= np.asarray(t_star) + feas_tol):
         raise ValueError("cutting plane requested at a feasible point")
     s = lovasz_subgradient(f, x_star)
-    d = fhat - float(s @ x_star)
-    return s, -1.0, d
-
-
-def _binary_cutting_planes(f, X, t_star, feas_tol):
-    if not np.all((X == 0.0) | (X == 1.0)):
-        raise ValueError("a block of cutting planes needs binary points")
-    masks = (X @ np.left_shift(1, np.arange(f.n))).astype(np.int64)
-    fhat = f.values(masks)
-    if np.any(fhat <= t_star + feas_tol):
-        raise ValueError("cutting plane requested at a feasible point")
-    s = lovasz_subgradient(f, X)
-    # one s @ x per point, as the single-point cut takes it (an einsum sums
-    # in another order and moves d in the last digits)
-    return s, np.full(len(X), -1.0), fhat - np.matmul(s[:, None, :], X[:, :, None])[:, 0, 0]
+    # one s.x per point through matmul, for a point as for a block (an
+    # einsum sums in another order and moves d in the last digits)
+    d = fhat - np.matmul(s[..., None, :], x_star[..., :, None])[..., 0, 0]
+    # [()] unwraps the 0-d array of a single point into a scalar
+    return s, np.full(np.shape(d), -1.0)[()], d
 
 
 def _emit(observer, event, **data):
@@ -171,7 +157,6 @@ def solve(f, g, config=None, observer=None):
     heap = []
     active = {}
     next_id = 0
-    ghat_cache = {}
     cut_done = np.zeros(1 << n, dtype=bool)  # binary points cut at so far
 
     def classify(res, beta):
@@ -199,7 +184,7 @@ def solve(f, g, config=None, observer=None):
         P and feed its binary points to the incumbent; a new region reports
         a node_bound event.  Closes the region when a deletion rule applies.
         Returns (bound result, tightened beta, deletion reason or None)."""
-        levels = vertex_levels(S, inc_val, gt, ghat_cache)
+        levels = vertex_levels(S, inc_val, gt)
         res = solve_bound(S, P, levels, gt)
         update_incumbent(res.feasible_points)
         if new:
@@ -288,11 +273,11 @@ def solve(f, g, config=None, observer=None):
         # still underestimates (the witness among them); each such cut is
         # strictly separating, and each point needs one cut ever
         masks, t_lo = res.feasible_points, res.feasible_t_lo
-        need = (ft.values(masks) > t_lo + cfg.feas_tol) & ~cut_done[masks]
+        need = (ft.values(masks) > t_lo + FEAS_TOL) & ~cut_done[masks]
         masks, t_lo = masks[need], t_lo[need]
         if len(masks):
             X = binary_points(n)[masks]
-            S_cut, c_cut, d_cut = cutting_plane(ft, X, t_lo, feas_tol=cfg.feas_tol)
+            S_cut, c_cut, d_cut = cutting_plane(ft, X, t_lo)
             k = P.num_rows
             P = add_cut(P, (S_cut, c_cut, d_cut))
             cut_done[masks] = True

@@ -13,7 +13,7 @@ import pytest
 from dsprism import setfn
 from dsprism.bound import MEMBERSHIP_TOL, binary_points
 from dsprism.experiments import FAMILIES, gen_random_ds, run_bench, verify_corpus
-from dsprism.geometry import bisect, initial_simplex
+from dsprism.geometry import barycentric, bisect, initial_simplex
 from dsprism.setfn import (as_table, brute_force_ds_min, indicator, lovasz,
                            lovasz_subgradient, mask_of)
 from dsprism.solver import SolverConfig, solve
@@ -115,7 +115,7 @@ def test_criterion_3_bound_problem_invariants(instrumented_runs):
             S, P, levels, res = (data["simplex"], data["polyhedron"],
                                  data["levels"], data["bound"])
             # (a) infeasibility iff exhaustive absence of binary feasible points
-            lam = S.barycentric_many(grid)
+            lam = barycentric(S, grid)
             inside = np.min(lam, axis=1) >= -MEMBERSHIP_TOL
             any_feasible = False
             for m in np.nonzero(inside)[0]:

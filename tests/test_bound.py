@@ -6,7 +6,8 @@ import pytest
 from dsprism import setfn
 from dsprism.bound import (INFEASIBLE, SOLVED, binary_points, equivalence_check,
                            solve_bound, vertex_levels)
-from dsprism.geometry import Simplex, add_cut, initial_polyhedron, initial_simplex
+from dsprism.geometry import (Simplex, add_cut, bisect, initial_polyhedron, initial_simplex,
+                              radial_subdivide)
 from dsprism.setfn import indicator, lovasz, lovasz_subgradient
 
 
@@ -30,6 +31,16 @@ def test_vertex_levels_worked_example():
     levels = vertex_levels(S, -1.0, g)
     assert levels.mu == -1.0
     assert np.allclose(levels.t, [-1.0, 1.0])  # ghat(v) + mu
+
+
+def test_vertex_levels_match_per_vertex_lovasz():
+    rng = np.random.default_rng(3)
+    n = 4
+    g = setfn.table(n, rng.normal(size=1 << n))
+    S0 = initial_simplex(n, 5)  # a binary apex and n vertices off the cube
+    for S in (S0, *bisect(S0), radial_subdivide(S0, np.full(n, 0.5))[0]):
+        levels = vertex_levels(S, -0.25, g)
+        assert np.array_equal(levels.t, [lovasz(g, v) - 0.25 for v in S.vertices])
 
 
 def test_solve_bound_worked_example():

@@ -109,13 +109,37 @@ def test_malformed_instance_exits_with_message(command, text, reason, tmp_path, 
                  id="verify_n_not_integer"),
     pytest.param(["verify", "--families", "nope"], "unknown family 'nope'",
                  id="verify_unknown_family"),
+    pytest.param(["verify", "--reps", "0"], "--reps must be at least 1, got 0",
+                 id="verify_zero_reps"),
+    pytest.param(["verify", "--seed", "-100000"], "--seed must be nonnegative, got -100000",
+                 id="verify_negative_seed"),
+    pytest.param(["bench", "--lambdas", "x"],
+                 "--lambdas must be comma-separated finite nonnegative numbers, got 'x'",
+                 id="bench_lambda_not_number"),
+    pytest.param(["bench", "--lambdas", "1.0,-0.5"],
+                 "--lambdas must be comma-separated finite nonnegative numbers, got '1.0,-0.5'",
+                 id="bench_negative_lambda"),
+    pytest.param(["bench", "--lambdas", "inf"],
+                 "--lambdas must be comma-separated finite nonnegative numbers, got 'inf'",
+                 id="bench_infinite_lambda"),
+    pytest.param(["bench", "--p", "0"], "invalid feature-selection spec: need 0 < k <= p",
+                 id="bench_p_zero"),
+    pytest.param(["bench", "--k", "20"], "invalid feature-selection spec: need 0 < k <= p",
+                 id="bench_k_above_p"),
+    pytest.param(["bench", "--n", "0"], "invalid feature-selection spec: need 0 < k <= p",
+                 id="bench_no_samples"),
+    pytest.param(["bench", "--reps", "-1"], "--reps must be at least 1, got -1",
+                 id="bench_negative_reps"),
+    pytest.param(["bench", "--seed", "-1"], "--seed must be nonnegative, got -1",
+                 id="bench_negative_seed"),
 ])
-def test_bad_argument_exits_with_message(argv, reason, tmp_path, capsys):
+def test_bad_argument_exits_with_message(argv, reason, tmp_path, capsys, monkeypatch):
     # rejected before any solve, with a one-line reason and no traceback
     path = tmp_path / "n2.json"
     path.write_text(json.dumps(gen_random_ds(2, "cut_minus_modular", 0).to_dict()))
-    if argv[0] != "verify":
+    if argv[0] in ("solve", "baseline"):
         argv = argv + ["--instance", str(path)]
+    monkeypatch.chdir(tmp_path)  # bench writes bench.csv here if it runs
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
@@ -123,3 +147,4 @@ def test_bad_argument_exits_with_message(argv, reason, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [path]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dsprism import bound, setfn, solver
+from dsprism import bound, geometry, setfn, solver
 from dsprism.experiments import gen_random_ds
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -25,7 +25,7 @@ def test_tracer_and_bound_probe_wrap_one_solve():
     def observer(event, data):
         if event == "node_bound":
             bounds.append(data["bound"])
-            lam = data["simplex"].barycentric_many(bound.binary_points(inst.n))
+            lam = geometry.barycentric(data["simplex"], bound.binary_points(inst.n))
             inside.append(int(np.sum(np.min(lam, axis=1) >= -bound.MEMBERSHIP_TOL)))
 
     tracer.install()

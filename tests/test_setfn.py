@@ -161,6 +161,32 @@ def test_lovasz_matches_reference_on_random_points():
             assert lovasz(f, x) == pytest.approx(reference_lovasz(f, x), abs=1e-8)
 
 
+def test_lovasz_block_matches_points_bitwise():
+    rng = np.random.default_rng(14)
+    n = 5
+    binary = np.array([indicator(int(m), n) for m in rng.permutation(1 << n)[:6]])
+    other = rng.uniform(-0.5, 1.5, size=(6, n))
+    other[0] = [0.0, 1.0, 0.5, 1.0, 0.0]  # one fractional entry
+    mixed = np.vstack([binary, other])[rng.permutation(12)]
+    for f in library_oracles(n, seed=4):
+        for X in (binary, other, mixed):
+            got = lovasz(f, X)
+            assert got.shape == (len(X),)
+            assert np.array_equal(got, [lovasz(f, x) for x in X])
+
+
+def test_lovasz_binary_row_costs_one_evaluation():
+    f = setfn.coverage(4, [0.5, 1.0, 0.25], [[0], [0, 1], [2], [1, 2]])
+    calls = []
+    counted = setfn.SetFunction(4, lambda m: calls.append(m) or f(m))
+    X = np.array([indicator(0b1010, 4), [0.5, 0.0, 1.0, 0.0], indicator(0b0111, 4)])
+    assert np.array_equal(lovasz(counted, X), [f(0b1010), lovasz(f, X[1]), f(0b0111)])
+    assert sorted(calls) == sorted([0b1010, 0b0111] + [0, 0b0100, 0b0101, 0b0111, 0b1111])
+    calls.clear()
+    assert lovasz(counted, X[0]) == f(0b1010)
+    assert calls == [0b1010]
+
+
 def test_lovasz_tie_break_descending_value_ascending_index():
     # at a point with equal coordinates the chain must follow index order
     f = setfn.table(3, [0.0, 5.0, 1.0, 2.0, 1.0, 3.0, 4.0, 6.0])
@@ -247,3 +273,11 @@ def test_values_is_one_lookup_or_one_call_per_mask():
         got = oracle.values(masks)
         assert got.shape == masks.shape and np.array_equal(got, want)
     assert calls == [0, 5, 15, 3]
+
+
+@pytest.mark.parametrize("mask", [-1, 16])
+def test_values_rejects_masks_outside_ground_set(mask):
+    f = setfn.cut(4, [(0, 2, 1.0), (1, 3, 2.0)])
+    for oracle in (f, as_table(f)):
+        with pytest.raises(GroundSetError, match="mask %d outside" % mask):
+            oracle.values(np.array([3, mask]))
