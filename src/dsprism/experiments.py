@@ -252,7 +252,7 @@ def run_bench(p=10, n_samples=40, k=3, lambdas=(0.25, 0.5, 1.0, 2.0), reps=10,
         nuc = as_table(setfn.nuclear(base.X, scale=1.0))
         res = as_table(base.g)
         for lam in lambdas:
-            f = setfn.table(p, [lam * nuc(m) for m in range(1 << p)])
+            f = setfn.table(p, lam * nuc.table_values)
             g = res
             for method in methods:
                 t0 = time.perf_counter()

@@ -1,6 +1,7 @@
 """Dense linear algebra: the LU factorization the simplex geometry reuses,
 and validated numpy.linalg calls for determinants, least squares and
-symmetric eigenvalues.
+symmetric eigenvalues.  Least squares and eigenvalues take one matrix or a
+stack (..., rows, cols) of them, solved in one batched call.
 
 Square inputs are checked to be finite and at most MAX_DIM on a side.
 """
@@ -14,12 +15,14 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def _as_square(A):
+def _as_square(A, stack=False):
+    """A as a float square matrix, or with stack as a stack (..., k, k) of
+    them; the checks hold for every matrix of the stack."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or (A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2]:
         raise ValueError("expected a square matrix, got shape %s" % (A.shape,))
-    if A.shape[0] > MAX_DIM:
-        raise ValueError("matrix dimension %d exceeds cap %d" % (A.shape[0], MAX_DIM))
+    if A.shape[-1] > MAX_DIM:
+        raise ValueError("matrix dimension %d exceeds cap %d" % (A.shape[-1], MAX_DIM))
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     return A
@@ -74,24 +77,36 @@ def det(A):
 
 
 def least_squares(X, y):
-    """Minimize ||y - X w||^2.  Returns (w, residual_sq).
+    """Minimize ||y - X w||^2 for a design X (rows, k), or for every design
+    of a stack (..., rows, k) against the one y.  Returns (w, residual_sq):
+    a vector and a float for one design, arrays (..., k) and (...) for a
+    stack.
 
-    Zero-column X returns (empty, ||y||^2).
+    Minimum-norm solutions through one batched SVD, dropping singular values
+    at or below eps * max(rows, k) times the largest, as numpy.linalg.lstsq
+    does.  Zero columns give (empty, ||y||^2).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-d")
-    if X.shape[1] == 0:
-        return np.zeros(0), float(y @ y)
-    w = np.linalg.lstsq(X, y, rcond=None)[0]
-    r = y - X @ w
-    return w, float(r @ r)
+    if X.ndim < 2:
+        raise ValueError("X must be 2-d or a stack of 2-d designs")
+    rows, k = X.shape[-2:]
+    if k == 0:
+        w, res = np.zeros(X.shape[:-2] + (0,)), np.full(X.shape[:-2], float(y @ y))
+    else:
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        cutoff = np.finfo(float).eps * max(rows, k) * s[..., :1]
+        coef = np.divide(y @ U, s, out=np.zeros_like(s), where=s > cutoff)
+        w = (coef[..., None, :] @ Vt)[..., 0, :]
+        r = y - (X @ w[..., None])[..., 0]
+        res = (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+    return (w, float(res)) if X.ndim == 2 else (w, res)
 
 
 def sym_eigs(A):
-    """Eigenvalues of a symmetric matrix, ascending."""
-    A = _as_square(A)
-    if not np.allclose(A, A.T, atol=1e-10):
+    """Eigenvalues of a symmetric matrix, ascending; for a stack (..., k, k)
+    one ascending row per matrix."""
+    A = _as_square(A, stack=True)
+    if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-10):
         raise ValueError("matrix is not symmetric within 1e-10")
     return np.linalg.eigvalsh(A)

@@ -45,43 +45,74 @@ def indicator(mask, n):
 class SetFunction:
     """A real-valued function on subsets of {0, ..., n-1}.
 
-    ``fn`` maps a bitmask to a float.  ``spec`` keeps the constructor
-    parameters for JSON round-trips; ``submodular`` records the direction
-    claimed by the constructor (None when unknown).
+    ``fn`` maps a bitmask to a float; ``kernel`` maps a 1-d integer array of
+    masks to their values at once.  Give either or both: without ``fn`` a
+    point is the kernel on a one-mask array, without ``kernel`` a block is
+    one ``fn`` call per mask.  ``spec`` keeps the constructor parameters
+    for JSON round-trips; ``submodular`` records the direction claimed by
+    the constructor (None when unknown).
     """
 
-    __slots__ = ("n", "name", "_fn", "spec", "submodular", "table_values")
+    __slots__ = ("n", "name", "_fn", "_kernel", "spec", "submodular", "table_values")
 
-    def __init__(self, n, fn, name="custom", spec=None, submodular=None,
-                 table_values=None):
+    def __init__(self, n, fn=None, name="custom", spec=None, submodular=None,
+                 table_values=None, kernel=None):
         if n < 1:
             raise GroundSetError("ground set must be nonempty")
+        if fn is None and kernel is None:
+            raise ValueError("a set function needs fn or kernel")
         self.n = int(n)
         self._fn = fn
+        self._kernel = kernel
         self.name = name
         self.spec = spec
         self.submodular = submodular
-        self.table_values = table_values  # fast-path array for table oracles
+        self.table_values = table_values  # the values by mask, for table oracles
 
     def __call__(self, mask):
         if mask >> self.n:
             raise GroundSetError("mask %d outside ground set of size %d" % (mask, self.n))
+        if self._fn is None:
+            return float(self._kernel(np.array([mask], dtype=np.int64))[0])
         return float(self._fn(int(mask)))
 
     def values(self, masks):
-        """Values at an integer array of masks, same shape: a table lookup
-        when tabulated, else one oracle call per mask."""
+        """Values at an integer array of masks, same shape: one kernel call,
+        or one oracle call per mask when there is no kernel."""
         masks = np.asarray(masks)
-        if self.table_values is None:  # each call rejects a mask outside
+        if self._kernel is None:  # each call rejects a mask outside
             return np.array([self(int(m)) for m in masks.ravel()]).reshape(masks.shape)
         outside = masks >> self.n  # nonzero for a negative mask or one >= 2^n
         if outside.any():
             raise GroundSetError("mask %d outside ground set of size %d"
                                  % (masks[outside != 0][0], self.n))
-        return self.table_values[masks]
+        return self._kernel(masks.ravel()).reshape(masks.shape)
 
     def __repr__(self):
         return "SetFunction(n=%d, %s)" % (self.n, self.name)
+
+
+BLOCK = 4096  # masks per stacked numerics call in the matrix-oracle kernels
+
+
+def _column_kernel(n, empty, block):
+    """Kernel of a matrix oracle: value ``empty`` at the empty set, and
+    ``block(cols)`` for the masks of one cardinality k >= 1, whose element
+    indices, ascending, are the rows of the (m, k) array cols (m <= BLOCK)."""
+    shifts = np.arange(n)
+
+    def kernel(masks):
+        out = np.full(len(masks), empty)
+        card = np.bitwise_count(masks)
+        for k in np.unique(card[card > 0]):
+            pos = np.flatnonzero(card == k)
+            for s in range(0, len(pos), BLOCK):
+                at = pos[s:s + BLOCK]
+                bits = (masks[at, None] >> shifts) & 1
+                out[at] = block(np.nonzero(bits)[1].reshape(len(at), k))
+        return out
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +181,14 @@ def nuclear(X, scale=1.0):
         raise ValueError("X must be a matrix")
     n = X.shape[1]
     scale = float(scale)
+    Xt = np.ascontiguousarray(X.T)
 
-    def fn(mask):
-        if mask == 0:
-            return 0.0
-        cols = [i for i in range(n) if (mask >> i) & 1]
-        B = X[:, cols]
-        eigs = sym_eigs(B.T @ B)
-        return scale * float(np.sum(np.sqrt(np.clip(eigs, 0.0, None))))
+    def block(cols):
+        Bt = Xt[cols]  # (m, k, rows): each row one column of X_A
+        eigs = sym_eigs(Bt @ np.swapaxes(Bt, -1, -2))
+        return scale * np.sum(np.sqrt(np.clip(eigs, 0.0, None)), axis=-1)
 
-    return SetFunction(n, fn, "nuclear",
+    return SetFunction(n, name="nuclear", kernel=_column_kernel(n, 0.0, block),
                        spec={"type": "nuclear", "X": X.tolist(), "scale": scale},
                        submodular=True)
 
@@ -171,13 +200,14 @@ def neg_residual(X, y):
     if X.ndim != 2 or X.shape[0] != len(y):
         raise ValueError("X and y shapes are inconsistent")
     n = X.shape[1]
+    Xt = np.ascontiguousarray(X.T)
 
-    def fn(mask):
-        cols = [i for i in range(n) if (mask >> i) & 1]
-        _, res = least_squares(X[:, cols], y)
+    def block(cols):
+        _, res = least_squares(np.swapaxes(Xt[cols], -1, -2), y)
         return -res
 
-    return SetFunction(n, fn, "neg_residual",
+    return SetFunction(n, name="neg_residual",
+                       kernel=_column_kernel(n, -float(y @ y), block),
                        spec={"type": "neg_residual", "X": X.tolist(), "y": y.tolist()},
                        submodular=True)
 
@@ -194,15 +224,11 @@ def gaussian_entropy(sigma):
         raise ValueError("sigma must be positive definite")
     n = S.shape[0]
 
-    def fn(mask):
-        if mask == 0:
-            return 0.0
-        idx = [i for i in range(n) if (mask >> i) & 1]
-        sub = S[np.ix_(idx, idx)]
-        vals = sym_eigs(sub)
-        return 0.5 * float(np.sum(np.log(2.0 * np.pi * np.e * vals)))
+    def block(cols):
+        vals = sym_eigs(S[cols[:, :, None], cols[:, None, :]])
+        return 0.5 * np.sum(np.log(2.0 * np.pi * np.e * vals), axis=-1)
 
-    return SetFunction(n, fn, "gaussian_entropy",
+    return SetFunction(n, name="gaussian_entropy", kernel=_column_kernel(n, 0.0, block),
                        spec={"type": "gaussian_entropy", "sigma": S.tolist()},
                        submodular=True)
 
@@ -223,7 +249,7 @@ def table(n, values):
 
     return SetFunction(n, fn, "table",
                        spec={"type": "table", "values": vals},
-                       submodular=None, table_values=arr)
+                       submodular=None, table_values=arr, kernel=arr.__getitem__)
 
 
 def coverage(n, item_weights, covers):

@@ -124,6 +124,8 @@ def test_malformed_instance_exits_with_message(command, text, reason, tmp_path, 
                  id="bench_infinite_lambda"),
     pytest.param(["bench", "--p", "0"], "invalid feature-selection spec: need 0 < k <= p",
                  id="bench_p_zero"),
+    pytest.param(["bench", "--p", "25"], "--p must be at most 24, got 25",
+                 id="bench_p_above_enum_cap"),
     pytest.param(["bench", "--k", "20"], "invalid feature-selection spec: need 0 < k <= p",
                  id="bench_k_above_p"),
     pytest.param(["bench", "--n", "0"], "invalid feature-selection spec: need 0 < k <= p",

@@ -69,3 +69,57 @@ def test_sym_eigs_matches_eigvalsh():
 def test_sym_eigs_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_sym_eigs_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(6)
+    M = rng.standard_normal((7, 3, 5, 5))
+    A = M + np.swapaxes(M, -1, -2)
+    vals = sym_eigs(A)
+    assert vals.shape == (7, 3, 5)
+    for i in range(7):
+        for j in range(3):
+            assert np.array_equal(vals[i, j], sym_eigs(A[i, j]))
+
+
+@pytest.mark.parametrize("bad", [np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                 np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                                 np.array([[np.inf, 0.0], [0.0, 1.0]])],
+                         ids=["asymmetric", "nan", "inf"])
+def test_sym_eigs_rejects_a_stack_holding_one_bad_matrix(bad):
+    A = np.tile(np.eye(2), (4, 1, 1))
+    A[2] = bad
+    with pytest.raises(ValueError):
+        sym_eigs(A)
+
+
+def test_sym_eigs_rejects_non_square_stack():
+    with pytest.raises(ValueError, match="square"):
+        sym_eigs(np.zeros((3, 2, 4)))
+
+
+@pytest.mark.parametrize("rows,k", [(30, 5), (6, 6), (4, 7)])
+def test_least_squares_stack_matches_lstsq_per_design(rows, k):
+    rng = np.random.default_rng(rows * k)
+    X = rng.standard_normal((9, rows, k))
+    X[1, :, -1] = X[1, :, 0] + 3.0 * X[1, :, 1]  # rank-deficient designs
+    X[2, :, 2] = 0.0
+    X[3] = 0.0
+    y = rng.standard_normal(rows)
+    w, res = least_squares(X, y)
+    assert w.shape == (9, k) and res.shape == (9,)
+    for i in range(9):
+        w_ref = np.linalg.lstsq(X[i], y, rcond=None)[0]
+        r = y - X[i] @ w_ref
+        assert np.max(np.abs(w[i] - w_ref)) <= 1e-10 * max(1.0, np.max(np.abs(w_ref)))
+        assert abs(res[i] - float(r @ r)) <= 1e-10 * float(y @ y)
+        w_i, res_i = least_squares(X[i], y)
+        assert np.array_equal(w_i, w[i]) and res_i == res[i]
+    assert np.array_equal(w[3], np.zeros(k)) and res[3] == float(y @ y)
+
+
+def test_least_squares_stack_of_empty_designs():
+    y = np.array([1.0, -2.0, 0.5])
+    w, res = least_squares(np.zeros((4, 3, 0)), y)
+    assert w.shape == (4, 0)
+    assert np.array_equal(res, np.full(4, float(y @ y)))

@@ -1,5 +1,7 @@
 """Tests for set-function oracles and the Lovász extension layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,102 @@ def test_neg_residual_values():
     assert g(0) == pytest.approx(-float(y @ y))
     _, res, _, _ = np.linalg.lstsq(X, y, rcond=None)
     assert g(0b111) == pytest.approx(-float(res[0]), abs=1e-6)
+
+
+def matrix_oracles(n=6, seed=11):
+    """name -> (oracle, per-mask reference) for each matrix oracle,
+    including rank-deficient and wide (rows < k) regression designs."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n + 4, n))
+    y = rng.standard_normal(n + 4)
+    deficient = X.copy()
+    deficient[:, 3] = deficient[:, 0] - 2.0 * deficient[:, 1]
+    deficient[:, 5] = 0.0
+    M = rng.standard_normal((n, n))
+    sigma = M @ M.T + n * np.eye(n)
+
+    def nuclear_ref(mask):
+        B = X[:, set_of(mask)]
+        return 0.7 * float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(B.T @ B), 0.0, None))))
+
+    def residual_ref(X, y):
+        def ref(mask):
+            B = X[:, set_of(mask)]
+            r = y - B @ np.linalg.lstsq(B, y, rcond=None)[0]
+            return -float(r @ r)
+        return ref
+
+    def entropy_ref(mask):
+        idx = set_of(mask)
+        sign, logdet = np.linalg.slogdet(2.0 * np.pi * np.e * sigma[np.ix_(idx, idx)])
+        assert sign > 0
+        return 0.5 * logdet
+
+    return {
+        "nuclear": (setfn.nuclear(X, scale=0.7), nuclear_ref),
+        "neg_residual": (setfn.neg_residual(X, y), residual_ref(X, y)),
+        "neg_residual_deficient": (setfn.neg_residual(deficient, y), residual_ref(deficient, y)),
+        "neg_residual_wide": (setfn.neg_residual(X[:4], y[:4]), residual_ref(X[:4], y[:4])),
+        "gaussian_entropy": (setfn.gaussian_entropy(sigma), entropy_ref),
+    }
+
+
+MATRIX_CASES = list(matrix_oracles())
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES)
+def test_matrix_oracle_block_equals_points_bitwise(case, monkeypatch):
+    # a block is grouped by cardinality into stacked numerics calls; each
+    # point is the same kernel on a one-mask array, so they agree exactly
+    f, _ = matrix_oracles()[case]
+    rng = np.random.default_rng(MATRIX_CASES.index(case))
+    masks = np.concatenate([rng.permutation(1 << f.n), rng.integers(0, 1 << f.n, size=41),
+                            [0, 0, (1 << f.n) - 1]])
+    block = f.values(masks)
+    assert np.array_equal(block, [f(int(m)) for m in masks])
+    assert np.array_equal(f.values(masks.reshape(-1, 3)), block.reshape(-1, 3))
+    monkeypatch.setattr(setfn, "BLOCK", 4)  # groups split into stacks of <= 4
+    assert np.array_equal(f.values(masks), block)
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES)
+def test_matrix_oracle_block_matches_per_mask_reference(case):
+    f, ref = matrix_oracles()[case]
+    got = f.values(np.arange(1 << f.n))
+    want = np.array([ref(m) for m in range(1 << f.n)])
+    # relative per value; the residual relative to ||y||^2 = |g(empty)|,
+    # since a wide design fits y exactly
+    scale = abs(want[0]) if f.name == "neg_residual" else np.abs(want)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES)
+@pytest.mark.parametrize("mask", [-1, 1 << 6])
+def test_matrix_oracle_values_rejects_masks_outside_ground_set(case, mask):
+    f, _ = matrix_oracles()[case]
+    with pytest.raises(GroundSetError, match="mask %d outside" % mask):
+        f.values(np.array([3, mask]))
+
+
+@pytest.mark.parametrize("make", [lambda X, y: setfn.nuclear(X), setfn.neg_residual],
+                         ids=["nuclear", "neg_residual"])
+def test_matrix_oracle_tabulation_n14_memory(make):
+    # stacked calls see at most setfn.BLOCK masks, so the temporaries stay
+    # bounded whatever the number of masks of one cardinality
+    n = 14
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((40, n))
+    y = rng.standard_normal(40)
+    oracle = make(X, y)
+    tracemalloc.start()
+    try:
+        t = as_table(oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    masks = rng.integers(0, 1 << n, size=20)
+    assert np.array_equal(t.table_values[masks], [oracle(int(m)) for m in masks])
+    assert peak < 64 * 2 ** 20
 
 
 def test_gaussian_entropy_submodular():
