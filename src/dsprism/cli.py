@@ -33,8 +33,7 @@ def _load(path):
 
 def _cmd_solve(args):
     try:
-        cfg = SolverConfig(eps=args.eps, max_iters=args.max_iters,
-                           trace_level=2 if args.trace else 1)
+        cfg = SolverConfig(eps=args.eps, max_iters=args.max_iters)
     except ValueError as exc:
         return _fail(exc)
     inst = _load(args.instance)
@@ -146,7 +145,6 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_baseline)
 
     p = sub.add_parser("bench", help="feature-selection benchmark suite")
-    p.add_argument("--suite", choices=["fs"], default="fs")
     p.add_argument("--p", type=int, default=10)
     p.add_argument("--n", type=int, default=40)
     p.add_argument("--k", type=int, default=3)

@@ -18,7 +18,7 @@ from . import setfn
 from .baselines import greedy, ssp
 from .numerics import least_squares
 from .setfn import as_table, brute_force_ds_min, is_submodular, make_function, set_of
-from .solver import SolverConfig, solve
+from .solver import solve
 
 FAMILIES = ("cut_minus_modular", "coverage_minus_coverage",
             "nuclear_minus_residual", "table_random_submodular_pair")
@@ -200,7 +200,7 @@ def gen_random_ds(n, family, seed):
     raise RuntimeError("failed to draw a submodular pair for %s" % family)
 
 
-def verify_corpus(n_values, families, reps, seed, config=None):
+def verify_corpus(n_values, families, reps, seed):
     """Solve random corpus instances and compare against brute force.
 
     Returns a list of mismatch dicts (empty means all exact).
@@ -210,7 +210,7 @@ def verify_corpus(n_values, families, reps, seed, config=None):
         for family in families:
             for r in range(reps):
                 inst = gen_random_ds(n, family, seed + r)
-                rep = solve(inst.f, inst.g, config or SolverConfig())
+                rep = solve(inst.f, inst.g)
                 _, best = brute_force_ds_min(as_table(inst.f), as_table(inst.g))
                 tol = 1e-8 * max(1.0, abs(best))
                 if rep.termination_reason != "optimal" or abs(rep.optimal_value - best) > tol:
@@ -239,7 +239,7 @@ def _prediction_errors(X, y, X_test, y_test, mask):
 
 
 def run_bench(p=10, n_samples=40, k=3, lambdas=(0.25, 0.5, 1.0, 2.0), reps=10,
-              seed=7, methods=("prism", "ssp", "greedy"), solver_config=None):
+              seed=7):
     """Run the feature-selection suite; returns (rows, aggregates).
 
     Rows follow BENCH_FIELDS in deterministic (rep, lambda, method) order;
@@ -254,22 +254,20 @@ def run_bench(p=10, n_samples=40, k=3, lambdas=(0.25, 0.5, 1.0, 2.0), reps=10,
         for lam in lambdas:
             f = setfn.table(p, lam * nuc.table_values)
             g = res
-            for method in methods:
+            for method in ("prism", "ssp", "greedy"):
                 t0 = time.perf_counter()
                 if method == "prism":
                     # solve a repaired (validly submodular) decomposition of
                     # the same objective, then report the original objective
                     f2, g2, _ = setfn.ds_decompose(f, g)
-                    rep_out = solve(f2, g2, solver_config or SolverConfig())
+                    rep_out = solve(f2, g2)
                     mask = setfn.mask_of(rep_out.optimal_set)
                     obj = f(mask) - g(mask)
                 elif method == "ssp":
                     out = ssp(f, g, init=0, seed=seed + rep)
                     mask, obj = out.mask, out.value
-                elif method == "greedy":
-                    mask, obj = greedy(f, g)
                 else:
-                    raise ValueError("unknown method %r" % method)
+                    mask, obj = greedy(f, g)
                 wall = (time.perf_counter() - t0) * 1000.0
                 train, test = _prediction_errors(base.X, base.y, base.X_test,
                                                  base.y_test, mask)

@@ -50,11 +50,11 @@ class Simplex:
         self._minv = lu_solve_factored(LU, piv, np.eye(n + 1))
         self._minv.setflags(write=False)
 
-    def replace_vertex(self, i, r):
-        """Child simplex with vertex i replaced by r, sharing all other
-        vertices.  The barycentric matrix is updated by a rank-one
-        (Sherman-Morrison) step instead of a fresh factorization."""
-        lam = barycentric(self, r)
+    def replace_vertex(self, i, r, lam):
+        """Child simplex with vertex i replaced by r, whose barycentric
+        coordinates in this simplex are lam, sharing all other vertices.  The
+        barycentric matrix is updated by a rank-one (Sherman-Morrison) step
+        instead of a fresh factorization."""
         if abs(lam[i]) <= DEGENERACY_TOL:
             raise DegenerateSimplexError("replacement point lies on the opposite facet")
         V = self.vertices.copy()
@@ -126,21 +126,28 @@ def bisect(S):
     i1, i2 = longest_edge(S)
     V = S.vertices
     r = 0.5 * (V[i1] + V[i2])
-    return S.replace_vertex(i1, r), S.replace_vertex(i2, r)
-
-
-def radial_subdivide(S, r, tol=1e-10):
-    """Partition S by joining an interior point r to the opposite facets.
-
-    Replaces each vertex carrying barycentric weight > tol by r; the
-    resulting simplices cover S and overlap only on boundaries.  Raises when
-    r is (numerically) a vertex of S, where no proper partition exists.
-    """
     lam = barycentric(S, r)
-    keep = np.nonzero(lam > tol)[0]
-    if len(keep) < 2:
-        raise ValueError("subdivision point coincides with a vertex")
-    return [S.replace_vertex(int(i), r) for i in keep]
+    return S.replace_vertex(i1, r, lam), S.replace_vertex(i2, r, lam)
+
+
+def radial_subdivide(S, r, lam):
+    """Partition S by joining the point r, with barycentric coordinates lam
+    and not a vertex of S, to the opposite facets.
+
+    Replaces each vertex carrying barycentric weight > 1e-10 by r; the
+    resulting simplices cover S and overlap only on boundaries.
+    """
+    return [S.replace_vertex(int(i), r, lam) for i in np.nonzero(lam > 1e-10)[0]]
+
+
+def subdivide(S, r):
+    """Split S at its point r: the radial subdivision at r, whose children
+    all have r as a vertex, or the longest-edge bisection of S when r
+    already is a vertex (a barycentric weight >= 1 - 1e-9)."""
+    lam = barycentric(S, r)
+    if np.max(lam) >= 1.0 - 1e-9:
+        return bisect(S)
+    return radial_subdivide(S, r, lam)
 
 
 def hyperplane_through(points, heights):

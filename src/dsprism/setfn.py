@@ -194,7 +194,11 @@ def nuclear(X, scale=1.0):
 
 
 def neg_residual(X, y):
-    """g(A) = -min_w ||y - X_A w||^2 (submodular; the residual is supermodular)."""
+    """g(A) = -min_w ||y - X_A w||^2, the negated least-squares residual.
+
+    Not submodular in general (the residual is not supermodular for a
+    generic design), so it claims no direction; ``ds_decompose`` repairs a
+    pair that uses it."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != len(y):
@@ -208,8 +212,7 @@ def neg_residual(X, y):
 
     return SetFunction(n, name="neg_residual",
                        kernel=_column_kernel(n, -float(y @ y), block),
-                       spec={"type": "neg_residual", "X": X.tolist(), "y": y.tolist()},
-                       submodular=True)
+                       spec={"type": "neg_residual", "X": X.tolist(), "y": y.tolist()})
 
 
 def gaussian_entropy(sigma):

@@ -10,10 +10,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import geometry
 from .bound import INFEASIBLE, solve_bound, vertex_levels
-from .geometry import (Simplex, add_cut, barycentric, binary_points, bisect,
-                       initial_polyhedron, initial_simplex, radial_subdivide)
+from .geometry import (Simplex, add_cut, binary_points, initial_polyhedron,
+                       initial_simplex, subdivide)
 from .setfn import (GroundSetError, as_table, brute_force_min, lovasz,
                     lovasz_subgradient, set_of)
 
@@ -28,7 +27,6 @@ class SolverConfig:
     max_iters: int = 200_000
     max_nodes: int = 500_000
     initial_vertex: int = 0  # cube vertex (mask) anchoring the initial simplex
-    trace_level: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps >= 0):
@@ -41,9 +39,7 @@ class SolverConfig:
 @dataclass
 class Node:
     simplex: Simplex  # base of the node's prism
-    beta: float
     bound: object  # BoundResult
-    id: int
     rows_seen: int  # P row count the stored bound was computed against
 
 
@@ -147,17 +143,11 @@ def solve(f, g, config=None, observer=None):
     S0 = initial_simplex(n, anchor)
     P = initial_polyhedron(S0, t_tilde)
 
-    nodes_created = 0
-    nodes_explored = 0
+    nodes_created = 0  # also the id of the next region
     deleted = {"dr1": 0, "dr2": 0, "bound": 0}
     cuts_added = 0
-    closed_bounds = []  # certified lower bounds of all pruned regions
-    trace = []
-
-    heap = []
-    active = {}
-    next_id = 0
-    cut_done = np.zeros(1 << n, dtype=bool)  # binary points cut at so far
+    closed_bounds = []  # certified lower bounds of all closed regions
+    heap = []  # open regions as (beta, id, Node): best-first, ties by smallest id
 
     def classify(res, beta):
         """Deletion rule that closes a region whose bound program gave res
@@ -172,7 +162,6 @@ def solve(f, g, config=None, observer=None):
 
     def close(nid, reason, S, beta):
         """Delete a region; all but dr1 (empty region) certify beta."""
-        active.pop(nid, None)
         deleted[reason] += 1
         if reason != "dr1":
             closed_bounds.append(beta)
@@ -197,90 +186,66 @@ def solve(f, g, config=None, observer=None):
         return res, beta, reason
 
     def bound_child(S, parent_beta):
-        """Solve the bound problem for a child simplex; returns (node_or_None,
-        trace entry).  Deleted children close their region with a certified
-        bound recorded in closed_bounds."""
-        nonlocal nodes_created, next_id
+        """Bound a new region and open it unless a deletion rule closes it
+        (with its certified bound in closed_bounds); returns its trace entry."""
+        nonlocal nodes_created
+        nid = nodes_created
         nodes_created += 1
-        nid = next_id
-        next_id += 1
         res, beta, reason = bound_region(nid, S, parent_beta, new=True)
-        entry = {"id": nid, "status": res.status, "c_star": res.c_star,
-                 "beta": None if reason == "dr1" else beta, "deleted_by": reason}
-        if reason is not None:
-            return None, entry
-        node = Node(simplex=S, beta=beta, bound=res, id=nid, rows_seen=P.num_rows)
-        return node, entry
+        if reason is None:
+            heapq.heappush(heap, (beta, nid, Node(simplex=S, bound=res, rows_seen=P.num_rows)))
+        return {"id": nid, "status": res.status, "c_star": res.c_star,
+                "beta": None if reason == "dr1" else beta, "deleted_by": reason}
 
-    # root
-    root, root_entry = bound_child(S0, -np.inf)
-    if root is not None:
-        active[root.id] = root
-        heapq.heappush(heap, (root.beta, root.id))
-    if cfg.trace_level >= 2:
-        trace.append({"iter": -1, "node_id": root_entry["id"], "beta": root_entry["beta"],
-                      "alpha": inc_val, "action": "root", "children": [root_entry],
-                      "cuts_total": cuts_added})
+    root_entry = bound_child(S0, -np.inf)
+    trace = [{"iter": -1, "node_id": root_entry["id"], "beta": root_entry["beta"],
+              "alpha": inc_val, "action": "root", "children": [root_entry],
+              "cuts_total": cuts_added}]
 
     termination = "optimal"
-    while active:
+    while heap:
         if iteration >= cfg.max_iters:
             termination = "iteration_limit"
             break
         if nodes_created >= cfg.max_nodes:
             termination = "node_limit"
             break
-        # best-first selection, ties by smallest node id; the stored bound is
-        # refreshed against the current P (cuts only tighten it), so nodes
-        # that close under the grown polyhedron are deleted without expansion
-        node = None
-        while active:
-            beta_k, nid = heap[0]
-            cand = active.get(nid)
-            if cand is None or cand.beta != beta_k:
-                heapq.heappop(heap)
+        # best-first selection; the bound rule closes an open region here and
+        # only here.  The stored bound is refreshed against the current P (cuts
+        # only tighten it), so regions that close under the grown polyhedron
+        # are deleted without expansion, and the selected node's binary
+        # points carry their current t_lo: a point cut before has t_lo = f
+        beta, nid, node = heapq.heappop(heap)
+        S = node.simplex
+        if classify(None, beta):
+            close(nid, "bound", S, beta)
+            continue
+        if P.num_rows > node.rows_seen:
+            node.bound, new_beta, reason = bound_region(nid, S, beta, new=False)
+            node.rows_seen = P.num_rows
+            if reason is not None:
                 continue
-            heapq.heappop(heap)
-            S = cand.simplex
-            if classify(None, cand.beta):
-                close(nid, "bound", S, cand.beta)
+            if new_beta > beta:
+                # tightened but maybe no longer the best node: reinsert
+                heapq.heappush(heap, (new_beta, nid, node))
                 continue
-            if P.num_rows > cand.rows_seen:
-                res, new_beta, reason = bound_region(nid, S, cand.beta, new=False)
-                cand.rows_seen = P.num_rows
-                cand.bound = res
-                if reason is not None:
-                    continue
-                if new_beta > cand.beta:
-                    # tightened but maybe no longer the best node: reinsert
-                    cand.beta = new_beta
-                    heapq.heappush(heap, (new_beta, nid))
-                    continue
-            node = cand
-            del active[nid]
-            break
-        if node is None:
-            break
         iteration += 1
-        nodes_explored += 1
-        _emit(observer, "select", node_id=nid, beta=node.beta, alpha=inc_val,
+        _emit(observer, "select", node_id=nid, beta=beta, alpha=inc_val,
               iteration=iteration)
-
-        alpha_before = inc_val
-        res = node.bound
 
         # separate every binary point of the node the outer approximation
         # still underestimates (the witness among them); each such cut is
-        # strictly separating, and each point needs one cut ever
+        # strictly separating and lifts t_lo to f at its point, so no point
+        # is cut twice
+        res = node.bound
         masks, t_lo = res.feasible_points, res.feasible_t_lo
-        need = (ft.values(masks) > t_lo + FEAS_TOL) & ~cut_done[masks]
+        need = ft.values(masks) > t_lo + FEAS_TOL
         masks, t_lo = masks[need], t_lo[need]
         if len(masks):
             X = binary_points(n)[masks]
             S_cut, c_cut, d_cut = cutting_plane(ft, X, t_lo)
             k = P.num_rows
             P = add_cut(P, (S_cut, c_cut, d_cut))
-            cut_done[masks] = True
             cuts_added += len(masks)
             if observer is not None:
                 for j in range(len(masks)):
@@ -288,42 +253,19 @@ def solve(f, g, config=None, observer=None):
                           z=(X[j], t_lo[j]), violation=ft.table_values[masks[j]] - t_lo[j],
                           polyhedron_before=P.head(k + j),
                           polyhedron_after=P.head(k + j + 1))
-        action = "cut" if len(masks) else "nocut"
 
         # subdivide at the witness so it becomes a vertex of every child:
         # together with the cut this caps its bound contribution at
         # mu - (f-g)(x*) <= 0, so each binary point is selected at most once
-        # per branch and termination is finite.  When the witness already is
-        # a vertex, fall back to longest-edge bisection.
-        base = node.simplex
-        if np.max(barycentric(base, res.witness_x)) >= 1.0 - 1e-9:
-            subs = bisect(base)
-        else:
-            subs = radial_subdivide(base, res.witness_x)
-        children = []
-        for S in subs:
-            child, entry = bound_child(S, node.beta)
-            children.append(entry)
-            if child is not None:
-                active[child.id] = child
-                heapq.heappush(heap, (child.beta, child.id))
-
-        # prune the pool eagerly when the incumbent improved (otherwise the
-        # lazy check at selection time covers it)
-        pruned = []
-        for oid in (list(active) if inc_val < alpha_before else ()):
-            other = active[oid]
-            if classify(None, other.beta):
-                close(oid, "bound", other.simplex, other.beta)
-                pruned.append(oid)
-
-        if cfg.trace_level >= 1:
-            trace.append({"iter": iteration, "node_id": nid, "beta": node.beta,
-                          "alpha": inc_val, "action": action, "children": children,
-                          "cuts_total": cuts_added, "pruned": pruned})
+        # per branch and termination is finite (a witness that already is a
+        # vertex gets longest-edge bisection)
+        children = [bound_child(C, beta) for C in subdivide(S, res.witness_x)]
+        trace.append({"iter": iteration, "node_id": nid, "beta": beta,
+                      "alpha": inc_val, "action": "cut" if len(masks) else "nocut",
+                      "children": children, "cuts_total": cuts_added})
 
     if termination != "optimal":
-        closed_bounds.extend(node.beta for node in active.values())
+        closed_bounds.extend(entry[0] for entry in heap)
     lower = min(closed_bounds) if closed_bounds else inc_val
     final_gap = max(0.0, inc_val - lower)
 
@@ -334,7 +276,7 @@ def solve(f, g, config=None, observer=None):
         n=n,
         iterations=iteration,
         nodes_created=nodes_created,
-        nodes_explored=nodes_explored,
+        nodes_explored=iteration,
         deleted_dr1=deleted["dr1"],
         deleted_dr2=deleted["dr2"],
         deleted_bound=deleted["bound"],

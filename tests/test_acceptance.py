@@ -16,7 +16,7 @@ from dsprism.experiments import FAMILIES, gen_random_ds, run_bench, verify_corpu
 from dsprism.geometry import barycentric, bisect, initial_simplex
 from dsprism.setfn import (as_table, brute_force_ds_min, indicator, lovasz,
                            lovasz_subgradient, mask_of)
-from dsprism.solver import SolverConfig, solve
+from dsprism.solver import solve
 
 
 def _report(num, name, ok, detail=""):
@@ -44,8 +44,7 @@ def instrumented_runs():
                     elif event == "cut":
                         cuts.append(data)
 
-                rep = solve(inst.f, inst.g, SolverConfig(trace_level=1),
-                            observer=observer)
+                rep = solve(inst.f, inst.g, observer=observer)
                 runs.append({"inst": inst, "ft": as_table(inst.f),
                              "gt": as_table(inst.g), "nodes": nodes,
                              "cuts": cuts, "report": rep})
@@ -82,7 +81,7 @@ def test_criterion_2_worked_trace():
         elif event == "cut":
             cuts.append(data)
 
-    rep = solve(f, g, SolverConfig(trace_level=2), observer=observer)
+    rep = solve(f, g, observer=observer)
     root = nodes[0]["bound"]
     checks = [
         root.c_star == pytest.approx(1.0, abs=1e-12),
@@ -93,8 +92,8 @@ def test_criterion_2_worked_trace():
         rep.deleted_dr2 == 2 and rep.iterations == 1,
         rep.optimal_set == [0] and rep.optimal_value == -1.0,
     ]
-    a = solve(f, g, SolverConfig(trace_level=2)).to_dict()
-    b = solve(f, g, SolverConfig(trace_level=2)).to_dict()
+    a = solve(f, g).to_dict()
+    b = solve(f, g).to_dict()
     a.pop("wall_time_ms")
     b.pop("wall_time_ms")
     checks.append(a == b)

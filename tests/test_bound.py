@@ -7,7 +7,7 @@ from dsprism import setfn
 from dsprism.bound import (INFEASIBLE, SOLVED, binary_points, equivalence_check,
                            solve_bound, vertex_levels)
 from dsprism.geometry import (Simplex, add_cut, bisect, initial_polyhedron, initial_simplex,
-                              radial_subdivide)
+                              subdivide)
 from dsprism.setfn import indicator, lovasz, lovasz_subgradient
 
 
@@ -38,7 +38,7 @@ def test_vertex_levels_match_per_vertex_lovasz():
     n = 4
     g = setfn.table(n, rng.normal(size=1 << n))
     S0 = initial_simplex(n, 5)  # a binary apex and n vertices off the cube
-    for S in (S0, *bisect(S0), radial_subdivide(S0, np.full(n, 0.5))[0]):
+    for S in (S0, *bisect(S0), subdivide(S0, np.full(n, 0.5))[0]):
         levels = vertex_levels(S, -0.25, g)
         assert np.array_equal(levels.t, [lovasz(g, v) - 0.25 for v in S.vertices])
 

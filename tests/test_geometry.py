@@ -6,7 +6,7 @@ import pytest
 from dsprism.geometry import (DegenerateSimplexError, Simplex, add_cut,
                               barycentric, binary_points, bisect, hyperplane_through,
                               initial_polyhedron, initial_simplex, longest_edge,
-                              radial_subdivide)
+                              radial_subdivide, subdivide)
 from dsprism.setfn import indicator
 
 
@@ -92,10 +92,11 @@ def test_replace_vertex_matches_fresh_construction():
         S = random_simplex(n, rng)
         lam = rng.dirichlet(np.ones(n + 1) * 2.0)
         r = lam @ S.vertices
-        child = S.replace_vertex(1, r)
+        child = S.replace_vertex(1, r, barycentric(S, r))
         V = S.vertices.copy()
         V[1] = r
         fresh = Simplex(V)
+        assert np.array_equal(child.vertices, fresh.vertices)
         assert np.allclose(child._minv, fresh._minv, atol=1e-8)
 
 
@@ -105,14 +106,43 @@ def test_radial_subdivide_partitions_and_makes_vertex():
         S = random_simplex(n, rng)
         lam = rng.dirichlet(np.ones(n + 1))
         r = lam @ S.vertices
-        parts = radial_subdivide(S, r)
+        parts = radial_subdivide(S, r, barycentric(S, r))
         assert len(parts) == n + 1
         total = sum(p.volume_measure() for p in parts)
         assert total == pytest.approx(S.volume_measure(), rel=1e-8)
         for p in parts:
             assert any(np.allclose(v, r, atol=1e-12) for v in p.vertices)
-    with pytest.raises(ValueError):
-        radial_subdivide(S, S.vertices[0])
+
+
+def _same_simplices(A, B):
+    return len(A) == len(B) and all(
+        np.array_equal(a.vertices, b.vertices) and np.array_equal(a._minv, b._minv)
+        for a, b in zip(A, B))
+
+
+def test_subdivide_bisects_at_a_vertex_and_splits_radially_elsewhere():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5):
+        for S in (random_simplex(n, rng), initial_simplex(n, 1)):
+            # at every vertex: exactly the longest-edge bisection
+            for v in S.vertices:
+                assert _same_simplices(subdivide(S, v), bisect(S))
+            # elsewhere in S, on a face or inside: radial children, each with
+            # r as a vertex, covering S
+            for _ in range(5):
+                lam = rng.dirichlet(np.ones(n + 1))
+                lam[rng.random(n + 1) < 0.3] = 0.0
+                if np.count_nonzero(lam) < 2:
+                    continue
+                lam /= lam.sum()
+                r = lam @ S.vertices
+                parts = subdivide(S, r)
+                assert len(parts) == np.count_nonzero(lam)
+                assert not _same_simplices(parts, bisect(S))
+                for p in parts:
+                    assert any(np.allclose(v, r, atol=1e-12) for v in p.vertices)
+                total = sum(p.volume_measure() for p in parts)
+                assert total == pytest.approx(S.volume_measure(), rel=1e-8)
 
 
 def test_hyperplane_through():

@@ -353,6 +353,19 @@ def test_ds_decompose_repairs_pair_and_preserves_difference():
     assert M0 == 0.0
 
 
+def test_neg_residual_claims_no_direction():
+    # the raw residual term is not supermodular for a generic design, so its
+    # negation is not submodular and must not say it is
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        X = rng.standard_normal((9, 5))
+        y = rng.standard_normal(9)
+        g = setfn.neg_residual(X, y)
+        assert max_submodularity_violation(g) > 1e-6
+        assert g.submodular is not True
+        assert as_table(g).submodular is not True
+
+
 def test_as_table_preserves_values():
     f = setfn.cut(4, [(0, 2, 1.0), (1, 3, 2.0)])
     t = as_table(f)

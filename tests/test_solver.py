@@ -18,7 +18,7 @@ def worked_pair():
 
 def test_worked_n1_trace():
     f, g = worked_pair()
-    rep = solve(f, g, SolverConfig(trace_level=2))
+    rep = solve(f, g)
     assert rep.optimal_set == [0]
     assert rep.optimal_value == -1.0
     assert rep.termination_reason == "optimal"
@@ -37,8 +37,8 @@ def test_worked_n1_trace():
 
 def test_worked_n1_bit_deterministic():
     f, g = worked_pair()
-    a = solve(f, g, SolverConfig(trace_level=2)).to_dict()
-    b = solve(f, g, SolverConfig(trace_level=2)).to_dict()
+    a = solve(f, g).to_dict()
+    b = solve(f, g).to_dict()
     a.pop("wall_time_ms")
     b.pop("wall_time_ms")
     assert a == b
@@ -200,7 +200,7 @@ def test_alpha_history_nonincreasing_and_gap():
 
 def test_trace_beta_nondecreasing():
     inst = gen_random_ds(5, "table_random_submodular_pair", 1)
-    rep = solve(inst.f, inst.g, SolverConfig(trace_level=1))
+    rep = solve(inst.f, inst.g)
     betas = [t["beta"] for t in rep.trace if t["iter"] >= 1]
     assert all(b >= a - 1e-12 for a, b in zip(betas, betas[1:]))
 
@@ -276,3 +276,24 @@ def test_initial_vertex_anchor_changes_search_not_answer():
                 assert rep.optimal_value == pytest.approx(best, abs=1e-9)
                 assert rep.alpha_history == [(d["iteration"], d["value"])
                                              for e, d in events if e == "incumbent"]
+
+
+def test_no_binary_point_is_cut_twice():
+    # a selected node's bound is refreshed against the grown polyhedron, so a
+    # point cut before has t_lo = f there and is never separated again
+    for n in range(3, 9):
+        weights = 1 << np.arange(n)
+        for family in FAMILIES:
+            inst = gen_random_ds(n, family, 0)
+            for v in (0, (1 << n) - 1):
+                for cfg in (SolverConfig(initial_vertex=v),
+                            SolverConfig(initial_vertex=v, max_iters=1)):
+                    cut_at = []
+
+                    def observer(event, data, cut_at=cut_at):
+                        if event == "cut":
+                            cut_at.append(int(data["z"][0] @ weights))
+
+                    rep = solve(inst.f, inst.g, cfg, observer=observer)
+                    assert len(set(cut_at)) == len(cut_at) == rep.cuts_added
+                    assert rep.cuts_added <= (1 << n) - 1
