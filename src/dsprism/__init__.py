@@ -11,7 +11,7 @@ from .geometry import (Simplex, Polyhedron, initial_simplex, barycentric,
                        bisect, hyperplane_through, initial_polyhedron, add_cut,
                        DegenerateSimplexError)
 from .bound import VertexLevels, BoundResult, vertex_levels, solve_bound, equivalence_check
-from .solver import SolverConfig, SolveReport, solve, cutting_plane, is_feasible_point
+from .solver import SolverConfig, SolveReport, solve, cutting_plane
 from .baselines import modular_lower_bound, ssp, greedy
 from .experiments import (FsInstanceSpec, gen_feature_selection, gen_random_ds,
                           run_bench, verify_corpus, load_instance, DsInstance)

@@ -5,9 +5,9 @@ The program is solved exactly by enumerating all binary x whose barycentric
 coordinates are nonnegative in the simplex.  For each such x the barycentric
 weights are unique, and the objective sum(t_i lambda_i) - t is maximized at
 the smallest t the polyhedron admits at x, t_lo(x) = max(t_tilde, max_j
-s_j.x + d_j).  It is read by mask from ``Polyhedron.binary_t_lo``: the
-polyhedron's storage keeps it for every binary point and evaluates each cut
-there once, when the cut is first needed.  The levels t_i = ghat(v_i) + mu
+s_j.x + d_j).  It is read by mask from ``Polyhedron.binary_t_lo``, which
+holds it for every binary point and evaluates each cut there once, when
+the cut is first needed.  The levels t_i = ghat(v_i) + mu
 take any mu; the result hands the simplex's binary points back as one
 ascending mask array, from which the solver updates its incumbent and cuts.
 """

@@ -195,7 +195,7 @@ def gen_random_ds(n, family, seed):
     rng = np.random.default_rng(FAMILIES.index(family) * 1_000_003 + 7919 * n + seed)
     for _ in range(100):
         f, g = _GENERATORS[family](n, rng)
-        if is_submodular(as_table(f), tol=1e-8) and is_submodular(as_table(g), tol=1e-8):
+        if is_submodular(f, tol=1e-8) and is_submodular(g, tol=1e-8):
             return DsInstance(f=f, g=g, n=n, family=family, seed=seed)
     raise RuntimeError("failed to draw a submodular pair for %s" % family)
 
@@ -211,7 +211,7 @@ def verify_corpus(n_values, families, reps, seed):
             for r in range(reps):
                 inst = gen_random_ds(n, family, seed + r)
                 rep = solve(inst.f, inst.g)
-                _, best = brute_force_ds_min(as_table(inst.f), as_table(inst.g))
+                _, best = brute_force_ds_min(inst.f, inst.g)
                 tol = 1e-8 * max(1.0, abs(best))
                 if rep.termination_reason != "optimal" or abs(rep.optimal_value - best) > tol:
                     mismatches.append({"n": n, "family": family, "seed": seed + r,

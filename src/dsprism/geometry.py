@@ -22,6 +22,11 @@ class DegenerateSimplexError(ValueError):
     pass
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 class Simplex:
     """n+1 affinely independent vertices in n-space."""
 
@@ -43,12 +48,10 @@ class Simplex:
         d = float(np.prod(np.diag(LU)))
         if abs(d) <= DEGENERACY_TOL * max(scale, 1e-300):
             raise DegenerateSimplexError("vertices are (nearly) affinely dependent")
-        V.setflags(write=False)
-        self.vertices = V
+        self.vertices = _read_only(V)
         self.n = n
         # lambda(x) = Minv @ (x; 1)
-        self._minv = lu_solve_factored(LU, piv, np.eye(n + 1))
-        self._minv.setflags(write=False)
+        self._minv = _read_only(lu_solve_factored(LU, piv, np.eye(n + 1)))
 
     def replace_vertex(self, i, r, lam):
         """Child simplex with vertex i replaced by r, whose barycentric
@@ -63,11 +66,9 @@ class Simplex:
         u[i] -= 1.0
         minv = self._minv - np.outer(u, self._minv[i]) / lam[i]
         child = object.__new__(Simplex)
-        V.setflags(write=False)
-        minv.setflags(write=False)
-        child.vertices = V
+        child.vertices = _read_only(V)
         child.n = self.n
-        child._minv = minv
+        child._minv = _read_only(minv)
         return child
 
     def volume_measure(self):
@@ -170,9 +171,7 @@ def binary_points(n):
     """All 2^n binary vectors as a (2^n, n) array, mask-ascending rows."""
     if n not in _binary_grid_cache:
         masks = np.arange(1 << n)
-        grid = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-        grid.setflags(write=False)
-        _binary_grid_cache[n] = grid
+        _binary_grid_cache[n] = _read_only(((masks[:, None] >> np.arange(n)) & 1).astype(float))
     return _binary_grid_cache[n]
 
 
@@ -192,106 +191,49 @@ def _fold_cuts(s, d, t_lo):
         val = s[j:j + step] @ X.T  # s.x, one row per cut
         val += d[j:j + step, None]
         np.maximum(t_lo, np.max(val, axis=0), out=t_lo)
-    t_lo.setflags(write=False)
-    return t_lo
-
-
-class _CutStore:
-    """Append-only cuts (s_j, d_j) with capacity doubling, shared by the
-    polyhedra grown from one another, over one domain and floor.  The
-    per-binary-point t_lo over the first ``cached`` cuts is kept and
-    extended lazily."""
-
-    __slots__ = ("domain", "t_tilde", "s", "d", "size", "cached", "t_lo")
-
-    def __init__(self, domain, t_tilde, s, d):
-        self.domain, self.t_tilde = domain, t_tilde
-        self.s, self.d = s.copy(), d.copy()
-        self.size = len(d)
-        self.cached = 0
-        self.t_lo = self.floor()
-
-    def floor(self):
-        """t_lo over no cuts: t_tilde at every binary point."""
-        t_lo = np.full(1 << self.domain.n, self.t_tilde)
-        t_lo.setflags(write=False)
-        return t_lo
-
-    def append(self, s, d):
-        k, m = self.size, len(d)
-        if k + m > len(self.d):
-            cap = max(2 * len(self.d), k + m)
-            for name in ("s", "d"):
-                old = getattr(self, name)
-                new = np.empty((cap,) + old.shape[1:])
-                new[:k] = old[:k]
-                setattr(self, name, new)
-        self.s[k:k + m] = s
-        self.d[k:k + m] = d
-        self.size = k + m
+    return _read_only(t_lo)
 
 
 class Polyhedron:
     """Kelley's cutting-plane model of the epigraph region over the simplex
     domain S0: {(x, t) : x in S0, t >= t_tilde, t >= s_j.x + d_j for all j}.
 
-    Its rows are the floor t >= t_tilde followed by the cuts.  A polyhedron
-    is the floor plus the first cuts of an append-only cut store.  add_cut on
-    the newest prefix of a store appends in place; on an older prefix it
-    copies that prefix first, so a polyhedron never changes.
+    Its rows are the floor t >= t_tilde followed by the cuts, kept in the
+    read-only arrays s (one row per cut) and d.  A polyhedron never changes:
+    add_cut returns a new one.
     """
 
-    __slots__ = ("_store", "_k")
+    __slots__ = ("domain", "t_tilde", "s", "d", "_parent", "_t_lo")
 
     def __init__(self, domain, t_tilde):
-        self._store = _CutStore(domain, float(t_tilde), np.empty((0, domain.n)), np.empty(0))
-        self._k = 0
-
-    @classmethod
-    def _prefix(cls, store, k):
-        P = object.__new__(cls)
-        P._store = store
-        P._k = k
-        return P
-
-    def _cuts(self, name):
-        view = getattr(self._store, name)[:self._k]
-        view.setflags(write=False)
-        return view
-
-    domain = property(lambda self: self._store.domain)
-    t_tilde = property(lambda self: self._store.t_tilde)
-    s = property(lambda self: self._cuts("s"))
-    d = property(lambda self: self._cuts("d"))
+        self.domain, self.t_tilde = domain, float(t_tilde)
+        self.s = _read_only(np.empty((0, domain.n)))
+        self.d = _read_only(np.empty(0))
+        self._parent = None
+        self._t_lo = _read_only(np.full(1 << domain.n, self.t_tilde))
 
     @property
     def num_rows(self):
         """The floor plus the cuts."""
-        return 1 + self._k
-
-    def head(self, k):
-        """The polyhedron of the first k rows (the floor and k-1 cuts),
-        sharing this one's storage."""
-        if not 1 <= k <= self.num_rows:
-            raise ValueError("prefix of %d rows out of 1..%d" % (k, self.num_rows))
-        return Polyhedron._prefix(self._store, k - 1)
+        return 1 + len(self.d)
 
     def binary_t_lo(self):
         """t_lo(x) = max(t_tilde, max_j s_j.x + d_j), the lowest t the
         polyhedron admits, at every binary point x in mask order.
 
-        Cached in the storage and extended over the cuts appended since the
-        last call; a query through a prefix shorter than the cache
-        recomputes from scratch.  The array is read-only and never changes.
+        Computed on the first call by folding the cuts added since the
+        nearest ancestor that has computed it into that ancestor's array, so
+        each cut of a chain of add_cut calls is evaluated once.  The array
+        is read-only.
         """
-        store, k = self._store, self._k
-        if k < store.cached:
-            return _fold_cuts(self.s, self.d, store.floor())
-        if k > store.cached:
-            c = store.cached
-            store.t_lo = _fold_cuts(store.s[c:k], store.d[c:k], store.t_lo)
-            store.cached = k
-        return store.t_lo
+        if self._t_lo is None:
+            base = self._parent
+            while base._t_lo is None:
+                base = base._parent
+            k = len(base.d)
+            self._t_lo = _fold_cuts(self.s[k:], self.d[k:], base._t_lo)
+            self._parent = None  # its cuts are folded in
+        return self._t_lo
 
     def t_interval(self, x, tol=1e-9):
         """Feasible t-range (t_lo, inf) at a fixed x, or None when x lies
@@ -319,8 +261,9 @@ def add_cut(P, cut_row):
     s, c, d = (np.asarray(v, dtype=float) for v in cut_row)
     if np.any(c != -1.0):
         raise ValueError("a cut must have t-coefficient c = -1 (t >= s.x + d)")
-    store = P._store
-    if P._k < store.size:
-        store = _CutStore(store.domain, store.t_tilde, P.s, P.d)
-    store.append(s.reshape(-1, s.shape[-1]), d.reshape(-1))
-    return Polyhedron._prefix(store, store.size)
+    Q = object.__new__(Polyhedron)
+    Q.domain, Q.t_tilde = P.domain, P.t_tilde
+    Q.s = _read_only(np.concatenate([P.s, s.reshape(-1, s.shape[-1])]))
+    Q.d = _read_only(np.concatenate([P.d, d.reshape(-1)]))
+    Q._parent, Q._t_lo = P, None
+    return Q

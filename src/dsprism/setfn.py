@@ -247,6 +247,8 @@ def table(n, values):
         raise ValueError("set-function value at mask %d is %r; values must be finite"
                          % (bad[0], vals[bad[0]]))
 
+    arr.setflags(write=False)  # fn reads vals: the two copies must agree
+
     def fn(mask):
         return vals[mask]
 

@@ -66,14 +66,6 @@ class SolveReport:
         return asdict(self)
 
 
-def is_feasible_point(f, x, t, tol=1e-9):
-    """True iff x is in the unit cube and fhat(x) <= t, up to tol."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -tol) or np.any(x > 1.0 + tol):
-        return False
-    return lovasz(f, x) <= t + tol
-
-
 def cutting_plane(f, x_star, t_star, feas_tol=FEAS_TOL):
     """Separating cut at an infeasible witness z = (x*, t*).
 
@@ -244,15 +236,12 @@ def solve(f, g, config=None, observer=None):
         if len(masks):
             X = binary_points(n)[masks]
             S_cut, c_cut, d_cut = cutting_plane(ft, X, t_lo)
-            k = P.num_rows
             P = add_cut(P, (S_cut, c_cut, d_cut))
             cuts_added += len(masks)
             if observer is not None:
                 for j in range(len(masks)):
                     _emit(observer, "cut", row=(S_cut[j], float(c_cut[j]), float(d_cut[j])),
-                          z=(X[j], t_lo[j]), violation=ft.table_values[masks[j]] - t_lo[j],
-                          polyhedron_before=P.head(k + j),
-                          polyhedron_after=P.head(k + j + 1))
+                          z=(X[j], t_lo[j]), violation=ft.table_values[masks[j]] - t_lo[j])
 
         # subdivide at the witness so it becomes a vertex of every child:
         # together with the cut this caps its bound contribution at

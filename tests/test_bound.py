@@ -139,13 +139,13 @@ def assert_same_bound(a, b):
 
 
 def fresh_copy(P):
-    """P rebuilt in one piece: a new store holding the same floor and cuts."""
+    """P rebuilt in one piece: the same floor and cuts added as one block."""
     return add_cut(initial_polyhedron(P.domain, P.t_tilde), (P.s, -np.ones(len(P.d)), P.d))
 
 
 def test_solve_bound_on_grown_polyhedron_matches_fresh():
-    # the storage cache, extended cut by cut, against a polyhedron built in
-    # one piece; then an older prefix (recomputed) and the newest again
+    # t_lo folded cut by cut, against a polyhedron built in one piece; then
+    # an older polyhedron of the chain and the newest again
     rng = np.random.default_rng(2)
     n = 4
     f = setfn.as_table(setfn.cut(n, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.8), (0, 3, 0.3)]))

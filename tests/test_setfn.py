@@ -203,6 +203,14 @@ def test_gaussian_entropy_submodular():
     assert is_submodular(as_table(f))
 
 
+def test_table_values_are_read_only():
+    # scalar calls read the table's list, blocks its array: the two must agree
+    t = setfn.table(2, [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        t.table_values[1] = 9.0
+    assert t(1) == t.values(np.array([1]))[0] == lovasz(t, np.array([1.0, 0.0])) == 1.0
+
+
 def test_table_roundtrip_and_spec():
     vals = [0.0, 1.5, -2.0, 0.25]
     t = setfn.table(2, vals)

@@ -9,7 +9,7 @@ from dsprism import setfn
 from dsprism.experiments import FAMILIES, gen_random_ds
 from dsprism.geometry import barycentric, binary_points
 from dsprism.setfn import as_table, brute_force_ds_min, indicator, lovasz
-from dsprism.solver import SolverConfig, cutting_plane, is_feasible_point, solve
+from dsprism.solver import SolverConfig, cutting_plane, solve
 
 
 def worked_pair():
@@ -180,13 +180,6 @@ def test_cut_minus_modular_n12_memory():
     assert rep.optimal_value == pytest.approx(float(np.min(f.table_values - g.table_values)),
                                               abs=1e-9)
     assert peak < 64 * 2 ** 20
-
-
-def test_is_feasible_point():
-    f = setfn.table(2, [0.0, 1.0, 1.0, 2.0])
-    assert is_feasible_point(f, np.array([1.0, 0.0]), 1.0)
-    assert not is_feasible_point(f, np.array([1.0, 0.0]), 0.5)
-    assert not is_feasible_point(f, np.array([1.5, 0.0]), 5.0)  # outside cube
 
 
 def test_alpha_history_nonincreasing_and_gap():
