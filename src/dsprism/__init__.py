@@ -9,7 +9,7 @@ from .setfn import (SetFunction, lovasz, lovasz_subgradient,
                     indicator, is_submodular, as_table)
 from .geometry import (Simplex, Polyhedron, initial_simplex, barycentric,
                        bisect, hyperplane_through, initial_polyhedron, add_cut,
-                       DegenerateSimplexError)
+                       CutPointError, DegenerateSimplexError)
 from .bound import VertexLevels, BoundResult, vertex_levels, solve_bound, equivalence_check
 from .solver import SolverConfig, SolveReport, solve, cutting_plane
 from .baselines import modular_lower_bound, ssp, greedy

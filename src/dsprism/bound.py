@@ -6,10 +6,12 @@ coordinates are nonnegative in the simplex.  For each such x the barycentric
 weights are unique, and the objective sum(t_i lambda_i) - t is maximized at
 the smallest t the polyhedron admits at x, t_lo(x) = max(t_tilde, max_j
 s_j.x + d_j).  It is read by mask from ``Polyhedron.binary_t_lo``, which
-holds it for every binary point and evaluates each cut there once, when
-the cut is first needed.  The levels t_i = ghat(v_i) + mu
-take any mu; the result hands the simplex's binary points back as one
-ascending mask array, from which the solver updates its incumbent and cuts.
+holds it for every binary point: at a point a cut was taken at it is that
+cut's own value (exact, since the Lovasz extension is), and each new cut is
+evaluated once at every point not cut yet, when the cut is first needed.
+The levels t_i = ghat(v_i) + mu take any mu; the result hands the
+simplex's binary points back as one ascending mask array, from which the
+solver updates its incumbent and cuts.
 """
 
 from dataclasses import dataclass, field

@@ -5,7 +5,10 @@ objects.  The polyhedron lives in (x, t)-space and outer-approximates the
 epigraph region {x in the cube, fhat(x) <= t}: it is the enclosing simplex
 S0 with a floor t >= t_tilde, cut down by subgradient planes t >= s.x + d
 (Kelley's cutting-plane model), and it keeps the lowest admitted t at every
-binary point.
+binary point.  A cut taken at a binary point z is tight there (s.z + d =
+f(z)), and for submodular f no valid cut rises above f(z) at z, so the
+polyhedron fixes t at a cut point to that cut's value and folds later cuts
+only into the binary points not cut yet.
 """
 
 import numpy as np
@@ -176,22 +179,43 @@ def binary_points(n):
 
 
 # float64 entries (2 MB) of the temporary that evaluates a chunk of cuts at
-# all 2^n binary points: a chunk has CHUNK_ENTRIES / 2^n cuts, at least one.
-# Larger chunks are no faster and raise the peak memory of n <= 12 solves.
+# the binary points: a chunk has CHUNK_ENTRIES / (number of points) cuts, at
+# least one.  Larger chunks are no faster and raise the peak memory of
+# n <= 12 solves.
 CHUNK_ENTRIES = 1 << 18
 
 
-def _fold_cuts(s, d, t_lo):
-    """max(t_lo, max_j s_j.x + d_j) at every binary point x, in mask order,
-    for the cuts (s, d); t_lo is not modified."""
-    X = binary_points(s.shape[1])
+def _fold_cuts(s, d, X, t_lo):
+    """max(t_lo, max_j s_j.x + d_j) at each row x of X, for the cuts (s, d);
+    t_lo is not modified."""
     t_lo = t_lo.copy()
-    step = max(1, CHUNK_ENTRIES >> s.shape[1])
+    step = max(1, CHUNK_ENTRIES // max(1, len(X)))
     for j in range(0, len(d), step):
         val = s[j:j + step] @ X.T  # s.x, one row per cut
         val += d[j:j + step, None]
         np.maximum(t_lo, np.max(val, axis=0), out=t_lo)
-    return _read_only(t_lo)
+    return t_lo
+
+
+class CutPointError(ValueError):
+    """Cut points that are not one distinct binary point per cut."""
+
+
+def _cut_points(masks, k, n):
+    """masks as the read-only int64 array of the binary points k cuts were
+    taken at, one distinct mask in 0..2^n-1 per cut; raises CutPointError."""
+    m = np.atleast_1d(np.asarray(masks))
+    if m.ndim != 1 or len(m) != k:
+        raise CutPointError("%d cut points given for %d cuts" % (m.size, k))
+    if k and m.dtype.kind not in "iu":
+        raise CutPointError("cut points must be integer masks, got %s" % m.dtype)
+    outside = (m < 0) | (m >= 1 << n)
+    if outside.any():
+        raise CutPointError("cut point mask %d outside 0..%d" % (m[outside][0], (1 << n) - 1))
+    seen, count = np.unique(m, return_counts=True)
+    if (count > 1).any():
+        raise CutPointError("cut point mask %d given twice" % seen[count > 1][0])
+    return _read_only(m.astype(np.int64))
 
 
 class Polyhedron:
@@ -200,17 +224,19 @@ class Polyhedron:
 
     Its rows are the floor t >= t_tilde followed by the cuts, kept in the
     read-only arrays s (one row per cut) and d.  A polyhedron never changes:
-    add_cut returns a new one.
+    add_cut returns a new one, which also records the binary points its
+    cuts were taken at, when they were given (see binary_t_lo).
     """
 
-    __slots__ = ("domain", "t_tilde", "s", "d", "_parent", "_t_lo")
+    __slots__ = ("domain", "t_tilde", "s", "d", "_parent", "_masks", "_t_lo", "_cut")
 
     def __init__(self, domain, t_tilde):
         self.domain, self.t_tilde = domain, float(t_tilde)
         self.s = _read_only(np.empty((0, domain.n)))
         self.d = _read_only(np.empty(0))
-        self._parent = None
+        self._parent = self._masks = None
         self._t_lo = _read_only(np.full(1 << domain.n, self.t_tilde))
+        self._cut = _read_only(np.zeros(1 << domain.n, dtype=bool))
 
     @property
     def num_rows(self):
@@ -218,26 +244,54 @@ class Polyhedron:
         return 1 + len(self.d)
 
     def binary_t_lo(self):
-        """t_lo(x) = max(t_tilde, max_j s_j.x + d_j), the lowest t the
-        polyhedron admits, at every binary point x in mask order.
+        """The lowest t the polyhedron admits at every binary point x, in
+        mask order: Kelley's max(t_tilde, max_j s_j.x + d_j), except at a cut
+        point.
 
-        Computed on the first call by folding the cuts added since the
-        nearest ancestor that has computed it into that ancestor's array, so
-        each cut of a chain of add_cut calls is evaluated once.  The array
-        is read-only.
+        A cut point is a binary point a cut was taken at (add_cut's masks).
+        There the cut is a tight subgradient of the Lovasz extension, which
+        is exact at binary points, so no valid cut rises above it: t_lo at
+        a cut point is final, the larger of its value before and the cut's
+        own value s.z + d.  Cuts taken at points are folded only into the
+        points not cut so far; cuts given without points into every point.
+
+        Computed on the first call from the nearest ancestor that has
+        computed it, with the cuts added since, so each chain of add_cut
+        calls keeps its own cut points and each cut is evaluated once.  The
+        array is read-only.
         """
         if self._t_lo is None:
-            base = self._parent
+            steps = []  # (first cut, end, masks) of each add_cut since base
+            base = self
             while base._t_lo is None:
+                steps.append((len(base._parent.d), len(base.d), base._masks))
                 base = base._parent
-            k = len(base.d)
-            self._t_lo = _fold_cuts(self.s[k:], self.d[k:], base._t_lo)
-            self._parent = None  # its cuts are folded in
+            steps.reverse()
+            X = binary_points(self.domain.n)
+            t_lo, cut = base._t_lo.copy(), base._cut.copy()
+            # the cuts given without points, in one fold at every point
+            anywhere = [np.arange(a, b) for a, b, masks in steps if masks is None]
+            if anywhere:
+                j = np.concatenate(anywhere)
+                t_lo = _fold_cuts(self.s[j], self.d[j], X, t_lo)
+            for a, b, masks in steps:
+                if masks is None:
+                    continue
+                cut[masks] = True
+                at = np.flatnonzero(~cut)
+                t_lo[at] = _fold_cuts(self.s[a:b], self.d[a:b], X[at], t_lo[at])
+                s, Z = self.s[a:b], X[masks]
+                own = np.matmul(s[:, None, :], Z[:, :, None])[:, 0, 0] + self.d[a:b]
+                t_lo[masks] = np.maximum(t_lo[masks], own)
+            self._t_lo, self._cut = _read_only(t_lo), _read_only(cut)
+            self._parent = self._masks = None  # folded in
         return self._t_lo
 
     def t_interval(self, x, tol=1e-9):
         """Feasible t-range (t_lo, inf) at a fixed x, or None when x lies
-        outside the domain by more than tol."""
+        outside the domain by more than tol.  This is Kelley's value over
+        all cuts; at a cut point it may differ from binary_t_lo in the last
+        digits."""
         x = np.asarray(x, dtype=float)
         if not self.domain.contains(x, tol):
             return None
@@ -252,18 +306,25 @@ def initial_polyhedron(S0, t_tilde):
     return Polyhedron(S0, t_tilde)
 
 
-def add_cut(P, cut_row):
+def add_cut(P, cut_row, masks=None):
     """P with the cut l(x, t) = s.x + c*t + d <= 0 appended; c must be -1,
     so the cut reads t >= s.x + d.
 
-    A block of cuts is s of shape (k, n) with c and d of length k.
+    A block of cuts is s of shape (k, n) with c and d of length k.  masks,
+    when given, names the binary point each cut was taken at (one distinct
+    mask per cut, in cut order); each cut must be tight there, as the
+    Lovasz-extension subgradients of ``solver.cutting_plane`` are, and
+    ``binary_t_lo`` then keeps the cut's own value at its point.  Invalid
+    masks raise CutPointError.
     """
     s, c, d = (np.asarray(v, dtype=float) for v in cut_row)
     if np.any(c != -1.0):
         raise ValueError("a cut must have t-coefficient c = -1 (t >= s.x + d)")
+    if masks is not None:
+        masks = _cut_points(masks, d.size, P.domain.n)
     Q = object.__new__(Polyhedron)
     Q.domain, Q.t_tilde = P.domain, P.t_tilde
     Q.s = _read_only(np.concatenate([P.s, s.reshape(-1, s.shape[-1])]))
     Q.d = _read_only(np.concatenate([P.d, d.reshape(-1)]))
-    Q._parent, Q._t_lo = P, None
+    Q._parent, Q._masks, Q._t_lo, Q._cut = P, masks, None, None
     return Q

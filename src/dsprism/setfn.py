@@ -81,7 +81,7 @@ class SetFunction:
         or one oracle call per mask when there is no kernel."""
         masks = np.asarray(masks)
         if self._kernel is None:  # each call rejects a mask outside
-            return np.array([self(int(m)) for m in masks.ravel()]).reshape(masks.shape)
+            return np.array([self(m) for m in masks.ravel().tolist()]).reshape(masks.shape)
         outside = masks >> self.n  # nonzero for a negative mask or one >= 2^n
         if outside.any():
             raise GroundSetError("mask %d outside ground set of size %d"
@@ -120,14 +120,14 @@ def _column_kernel(n, empty, block):
 
 
 def modular(weights):
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float).tolist()  # Python floats: fast scalar sums
     n = len(w)
 
     def fn(mask):
         return float(sum(w[i] for i in range(n) if (mask >> i) & 1))
 
     return SetFunction(n, fn, "modular",
-                       spec={"type": "modular", "weights": list(map(float, w))},
+                       spec={"type": "modular", "weights": list(w)},
                        submodular=True)
 
 
@@ -263,6 +263,7 @@ def coverage(n, item_weights, covers):
     w = np.asarray(item_weights, dtype=float)
     if np.any(w < 0):
         raise ValueError("coverage item weights must be nonnegative")
+    w = w.tolist()  # Python floats: fast scalar sums
     if len(covers) != n:
         raise ValueError("covers must have one entry per ground element")
     cover_masks = []
@@ -283,7 +284,7 @@ def coverage(n, item_weights, covers):
         return float(sum(w[u] for u in range(len(w)) if (covered >> u) & 1))
 
     return SetFunction(n, fn, "coverage",
-                       spec={"type": "coverage", "item_weights": list(map(float, w)),
+                       spec={"type": "coverage", "item_weights": list(w),
                              "covers": [set_of(cm) for cm in cover_masks]},
                        submodular=True)
 

@@ -236,7 +236,7 @@ def solve(f, g, config=None, observer=None):
         if len(masks):
             X = binary_points(n)[masks]
             S_cut, c_cut, d_cut = cutting_plane(ft, X, t_lo)
-            P = add_cut(P, (S_cut, c_cut, d_cut))
+            P = add_cut(P, (S_cut, c_cut, d_cut), masks)
             cuts_added += len(masks)
             if observer is not None:
                 for j in range(len(masks)):

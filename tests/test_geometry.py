@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from dsprism.geometry import (DegenerateSimplexError, Simplex, add_cut,
+from dsprism import geometry, setfn
+from dsprism.geometry import (CutPointError, DegenerateSimplexError, Simplex, add_cut,
                               barycentric, binary_points, bisect, hyperplane_through,
                               initial_polyhedron, initial_simplex, longest_edge,
                               radial_subdivide, subdivide)
 from dsprism.setfn import indicator
+from dsprism.solver import cutting_plane
 
 
 def random_simplex(n, rng):
@@ -198,6 +200,12 @@ def random_cuts(n, k, rng):
     return rng.normal(size=(k, n)), -np.ones(k), rng.normal(size=k)
 
 
+def kelley(Q):
+    """max(t_tilde, max_j s_j.x + d_j) at every binary point, directly."""
+    X = binary_points(Q.domain.n)
+    return np.maximum(Q.t_tilde, np.max(Q.s @ X.T + Q.d[:, None], axis=0, initial=-np.inf))
+
+
 def test_add_cut_twice_on_same_polyhedron_is_independent():
     rng = np.random.default_rng(6)
     P = add_cut(initial_polyhedron(initial_simplex(3), t_tilde=-1.0), random_cuts(3, 3, rng))
@@ -224,10 +232,8 @@ def test_branched_polyhedra_fold_only_their_own_cuts():
     P.binary_t_lo()
     P1 = add_cut(P, random_cuts(n, 2, rng))
     P2 = add_cut(add_cut(P, random_cuts(n, 1, rng)), random_cuts(n, 3, rng))
-    X = binary_points(n)
     for Q in (P2, P1, P):  # the newest first: each folds from P's array
-        direct = np.maximum(Q.t_tilde, np.max(Q.s @ X.T + Q.d[:, None], axis=0))
-        assert np.allclose(Q.binary_t_lo(), direct, rtol=0.0, atol=1e-12)
+        assert np.allclose(Q.binary_t_lo(), kelley(Q), rtol=0.0, atol=1e-12)
 
 
 def test_block_add_cut_equals_rows_one_at_a_time():
@@ -254,3 +260,63 @@ def test_binary_bounds_match_t_interval():
         assert P.t_interval(x) == (pytest.approx(t_lo[m], abs=1e-12), np.inf)
     with pytest.raises(ValueError):
         t_lo[0] = 0.0  # the cached array is read-only
+
+
+def own_values(cuts, masks):
+    """Each cut's value s.z + d at the binary point z it was taken at."""
+    S, _, d = cuts
+    Z = binary_points(S.shape[1])[masks]
+    return np.matmul(S[:, None, :], Z[:, :, None])[:, 0, 0] + d
+
+
+def test_cut_points_are_final_and_kept_per_branch():
+    n = 4
+    f = setfn.as_table(setfn.cut(n, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.8), (0, 3, 0.3)]))
+    X = binary_points(n)
+
+    def tight(masks):  # Lovasz subgradient cuts, tight at their points
+        return cutting_plane(f, X[masks], f.table_values[masks] - 1.0)
+
+    A, B1, B2a, B2b = [3, 5], [6, 9, 12], [10], [7, 15]
+    P = add_cut(initial_polyhedron(initial_simplex(n), t_tilde=-1.0), tight(A), A)
+    base = P.binary_t_lo()
+    P1 = add_cut(P, tight(B1), B1)
+    P2 = add_cut(add_cut(P, tight(B2a), B2a), tight(B2b), B2b)  # two steps, folded at once
+    own = {m: v for ms in (A, B1, B2a, B2b) for m, v in zip(ms, own_values(tight(ms), ms))}
+    for Q, cut_at in ((P2, A + B2a + B2b), (P1, A + B1), (P, A)):
+        t_lo = Q.binary_t_lo()
+        # its own cuts only: Kelley's value over Q's cuts, to rounding
+        assert np.allclose(t_lo, kelley(Q), rtol=0.0, atol=1e-12)
+        assert np.array_equal(t_lo[cut_at], [own[m] for m in cut_at])
+        assert np.array_equal(t_lo[A], base[A])  # later cuts leave A as it was
+        assert np.all(t_lo <= f.table_values + 1e-12)
+    # a later cut that lies above every point (no valid cut does) raises
+    # exactly the points its branch has not cut
+    high = (np.zeros((1, n)), -np.ones(1), np.full(1, 10.0))
+    for Q, cut_at in ((P1, A + B1), (P2, A + B2a + B2b)):
+        t_lo = add_cut(Q, high, [0]).binary_t_lo()
+        uncut = np.setdiff1d(np.arange(1 << n), cut_at)
+        assert np.array_equal(t_lo[cut_at], Q.binary_t_lo()[cut_at])
+        assert np.all(t_lo[uncut] == 10.0)
+    # cuts given without points still fold everywhere, cut points included,
+    # and a cut point keeps a higher t_lo it already had
+    assert np.all(add_cut(P1, high).binary_t_lo() == 10.0)
+    assert add_cut(add_cut(P1, high), tight([0]), [0]).binary_t_lo()[0] == 10.0
+
+
+@pytest.mark.parametrize("masks, match", [
+    ([1], "1 cut points given for 2 cuts"),
+    ([1, 2, 3], "3 cut points given for 2 cuts"),
+    ([1, 16], "mask 16 outside 0..15"),
+    ([-1, 2], "mask -1 outside 0..15"),
+    ([5, 5], "mask 5 given twice"),
+    ([1.0, 2.0], "integer masks"),
+])
+def test_add_cut_rejects_invalid_cut_points(masks, match, monkeypatch):
+    P = initial_polyhedron(initial_simplex(4), t_tilde=0.0)
+    P.binary_t_lo()
+    folds = []
+    monkeypatch.setattr(geometry, "_fold_cuts", lambda *args: folds.append(args))
+    with pytest.raises(CutPointError, match=match):
+        add_cut(P, random_cuts(4, 2, np.random.default_rng(11)), masks)
+    assert folds == [] and P.num_rows == 1

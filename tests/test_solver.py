@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dsprism import setfn
+from dsprism import geometry, setfn
 from dsprism.experiments import FAMILIES, gen_random_ds
 from dsprism.geometry import barycentric, binary_points
 from dsprism.setfn import as_table, brute_force_ds_min, indicator, lovasz
-from dsprism.solver import SolverConfig, cutting_plane, solve
+from dsprism.solver import FEAS_TOL, SolverConfig, cutting_plane, solve
 
 
 def worked_pair():
@@ -290,3 +290,57 @@ def test_no_binary_point_is_cut_twice():
                     rep = solve(inst.f, inst.g, cfg, observer=observer)
                     assert len(set(cut_at)) == len(cut_at) == rep.cuts_added
                     assert rep.cuts_added <= (1 << n) - 1
+
+
+def test_binary_t_lo_of_solver_polyhedra():
+    # at every binary point of every polyhedron a solve bounds against, t_lo
+    # is Kelley's value to rounding, never above f, and at a cut point the
+    # value of the cut taken there
+    checked = 0
+    for n in range(3, 9):
+        X = binary_points(n)
+        weights = 1 << np.arange(n)
+        for family in FAMILIES:
+            inst = gen_random_ds(n, family, 0)
+            f = as_table(inst.f).table_values
+            for v in (0, (1 << n) - 1):
+                polyhedra, cuts = {}, []
+
+                def observer(event, data, polyhedra=polyhedra, cuts=cuts):
+                    if event == "node_bound":
+                        polyhedra[id(data["polyhedron"])] = data["polyhedron"]
+                    elif event == "cut":
+                        s, _, d = data["row"]
+                        z = data["z"][0]
+                        own = np.matmul(s[None, None, :], z[None, :, None])[0, 0, 0] + d
+                        cuts.append((int(z @ weights), own))
+
+                solve(inst.f, inst.g, SolverConfig(initial_vertex=v), observer=observer)
+                for P in polyhedra.values():
+                    t_lo = P.binary_t_lo()
+                    direct = np.maximum(P.t_tilde, np.max(P.s @ X.T + P.d[:, None], axis=0,
+                                                          initial=-np.inf))
+                    assert np.all(np.abs(t_lo - direct) <= 1e-12 * np.maximum(1.0, np.abs(f)))
+                    assert np.all(t_lo <= f + FEAS_TOL)
+                    for m, own in cuts[:len(P.d)]:
+                        assert t_lo[m] == own
+                        checked += 1
+    assert checked > 1000
+
+
+def test_cuts_are_folded_only_at_uncut_points(monkeypatch):
+    # work guard: the cuts of a solve are evaluated at the binary points not
+    # cut yet, not at all 2^n points (about 1,023 x 1,024 at n=10)
+    n = 10
+    work = [0]
+    fold = geometry._fold_cuts
+
+    def counted(s, d, X, t_lo):
+        work[0] += len(d) * len(X)
+        return fold(s, d, X, t_lo)
+
+    monkeypatch.setattr(geometry, "_fold_cuts", counted)
+    inst = gen_random_ds(n, "cut_minus_modular", 0)
+    rep = solve(inst.f, inst.g)
+    assert rep.termination_reason == "optimal" and rep.cuts_added > (1 << n) // 2
+    assert work[0] <= 64 * (1 << n)
