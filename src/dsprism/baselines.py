@@ -91,8 +91,6 @@ def greedy(f, g):
     n = f.n
     if f.n != g.n:
         raise GroundSetError("oracles live on different ground sets")
-    if n > ENUM_CAP:
-        raise GroundSetError("ground set too large")
     current = 0
     value = f(0) - g(0)
     while True:

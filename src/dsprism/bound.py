@@ -5,10 +5,10 @@ The program is solved exactly by enumerating all binary x whose barycentric
 coordinates are nonnegative in the simplex.  For each such x the barycentric
 weights are unique, and the objective sum(t_i lambda_i) - t is maximized at
 the smallest t the polyhedron admits at x, t_lo(x) = max(t_tilde, max_j
-s_j.x + d_j).  It is read by mask from ``Polyhedron.binary_t_lo``, which
-holds it for every binary point: at a point a cut was taken at it is that
-cut's own value (exact, since the Lovasz extension is), and each new cut is
-evaluated once at every point not cut yet, when the cut is first needed.
+s_j.x + d_j).  It is read by mask from ``Polyhedron.t_lo``, which holds it
+for every binary point: at a point a cut was taken at it is that cut's own
+value (exact, since the Lovasz extension is), and ``add_cut`` evaluates
+each new cut once, at every point not cut yet, when it adds the cut.
 The levels t_i = ghat(v_i) + mu take any mu; the result hands the
 simplex's binary points back as one ascending mask array, from which the
 solver updates its incumbent and cuts.
@@ -74,7 +74,7 @@ def solve_bound(S, P, levels, g):
         return BoundResult(status=INFEASIBLE, beta=np.inf)
 
     mu = levels.mu
-    t_lo = P.binary_t_lo()[masks]
+    t_lo = P.t_lo[masks]
     obj = lam[masks] @ levels.t - t_lo
     j = int(np.argmax(obj))  # first max: smallest mask wins ties
     best_obj = float(obj[j])
@@ -100,7 +100,7 @@ def equivalence_check(S, P, levels, tol=1e-8):
     inside = np.min(lam, axis=1) >= -MEMBERSHIP_TOL
     if not inside.any():
         return True
-    t_lo = P.binary_t_lo()[inside]
+    t_lo = P.t_lo[inside]
     obj_mip = lam[inside] @ levels.t - t_lo
     obj_hyp = grid[inside] @ p - t_lo
     return bool(np.all(np.abs(obj_hyp - (obj_mip + gamma)) <= tol)

@@ -45,6 +45,9 @@ def instance_from_dict(d):
     n = int(d["n"])
     f = make_function(d["f"], n=n)
     g = make_function(d["g"], n=n)
+    for name, h in (("f", f), ("g", g)):
+        if h.n != n:
+            raise ValueError("oracle %s has %d elements, but n is %d" % (name, h.n, n))
     return DsInstance(f=f, g=g, n=n, family=d.get("family", "file"),
                       seed=int(d.get("seed", 0)))
 

@@ -78,11 +78,6 @@ class Simplex:
         """|det| of the edge matrix (n! times the Euclidean volume)."""
         return abs(det((self.vertices[1:] - self.vertices[0]).T))
 
-    def max_edge_length(self):
-        V = self.vertices
-        diff = V[:, None, :] - V[None, :, :]
-        return float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
-
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return bool(np.min(barycentric(self, x)) >= -tol)
 
@@ -223,75 +218,35 @@ class Polyhedron:
     domain S0: {(x, t) : x in S0, t >= t_tilde, t >= s_j.x + d_j for all j}.
 
     Its rows are the floor t >= t_tilde followed by the cuts, kept in the
-    read-only arrays s (one row per cut) and d.  A polyhedron never changes:
-    add_cut returns a new one, which also records the binary points its
-    cuts were taken at, when they were given (see binary_t_lo).
+    read-only arrays s (one row per cut) and d.  t_lo holds the lowest t
+    the polyhedron admits at every binary point x, in mask order: Kelley's
+    max(t_tilde, max_j s_j.x + d_j), except at a cut point, one of the
+    binary points cut marks.  There the cut is a tight subgradient of the
+    Lovasz extension, which is exact at binary points, so no valid cut
+    rises above it: t_lo at a cut point is final.  A polyhedron never
+    changes: add_cut returns a new one with both arrays brought up to date.
     """
 
-    __slots__ = ("domain", "t_tilde", "s", "d", "_parent", "_masks", "_t_lo", "_cut")
+    __slots__ = ("domain", "t_tilde", "s", "d", "t_lo", "cut")
 
     def __init__(self, domain, t_tilde):
+        """The domain with the floor t >= t_tilde and no cuts."""
         self.domain, self.t_tilde = domain, float(t_tilde)
         self.s = _read_only(np.empty((0, domain.n)))
         self.d = _read_only(np.empty(0))
-        self._parent = self._masks = None
-        self._t_lo = _read_only(np.full(1 << domain.n, self.t_tilde))
-        self._cut = _read_only(np.zeros(1 << domain.n, dtype=bool))
+        self.t_lo = _read_only(np.full(1 << domain.n, self.t_tilde))
+        self.cut = _read_only(np.zeros(1 << domain.n, dtype=bool))
 
     @property
     def num_rows(self):
         """The floor plus the cuts."""
         return 1 + len(self.d)
 
-    def binary_t_lo(self):
-        """The lowest t the polyhedron admits at every binary point x, in
-        mask order: Kelley's max(t_tilde, max_j s_j.x + d_j), except at a cut
-        point.
-
-        A cut point is a binary point a cut was taken at (add_cut's masks).
-        There the cut is a tight subgradient of the Lovasz extension, which
-        is exact at binary points, so no valid cut rises above it: t_lo at
-        a cut point is final, the larger of its value before and the cut's
-        own value s.z + d.  Cuts taken at points are folded only into the
-        points not cut so far; cuts given without points into every point.
-
-        Computed on the first call from the nearest ancestor that has
-        computed it, with the cuts added since, so each chain of add_cut
-        calls keeps its own cut points and each cut is evaluated once.  The
-        array is read-only.
-        """
-        if self._t_lo is None:
-            steps = []  # (first cut, end, masks) of each add_cut since base
-            base = self
-            while base._t_lo is None:
-                steps.append((len(base._parent.d), len(base.d), base._masks))
-                base = base._parent
-            steps.reverse()
-            X = binary_points(self.domain.n)
-            t_lo, cut = base._t_lo.copy(), base._cut.copy()
-            # the cuts given without points, in one fold at every point
-            anywhere = [np.arange(a, b) for a, b, masks in steps if masks is None]
-            if anywhere:
-                j = np.concatenate(anywhere)
-                t_lo = _fold_cuts(self.s[j], self.d[j], X, t_lo)
-            for a, b, masks in steps:
-                if masks is None:
-                    continue
-                cut[masks] = True
-                at = np.flatnonzero(~cut)
-                t_lo[at] = _fold_cuts(self.s[a:b], self.d[a:b], X[at], t_lo[at])
-                s, Z = self.s[a:b], X[masks]
-                own = np.matmul(s[:, None, :], Z[:, :, None])[:, 0, 0] + self.d[a:b]
-                t_lo[masks] = np.maximum(t_lo[masks], own)
-            self._t_lo, self._cut = _read_only(t_lo), _read_only(cut)
-            self._parent = self._masks = None  # folded in
-        return self._t_lo
-
     def t_interval(self, x, tol=1e-9):
         """Feasible t-range (t_lo, inf) at a fixed x, or None when x lies
         outside the domain by more than tol.  This is Kelley's value over
-        all cuts; at a cut point it may differ from binary_t_lo in the last
-        digits."""
+        all cuts; at a cut point it may differ from the t_lo array in the
+        last digits."""
         x = np.asarray(x, dtype=float)
         if not self.domain.contains(x, tol):
             return None
@@ -301,11 +256,6 @@ class Polyhedron:
         return "Polyhedron(rows=%d)" % self.num_rows
 
 
-def initial_polyhedron(S0, t_tilde):
-    """The domain S0 with the floor t >= t_tilde and no cuts."""
-    return Polyhedron(S0, t_tilde)
-
-
 def add_cut(P, cut_row, masks=None):
     """P with the cut l(x, t) = s.x + c*t + d <= 0 appended; c must be -1,
     so the cut reads t >= s.x + d.
@@ -313,9 +263,11 @@ def add_cut(P, cut_row, masks=None):
     A block of cuts is s of shape (k, n) with c and d of length k.  masks,
     when given, names the binary point each cut was taken at (one distinct
     mask per cut, in cut order); each cut must be tight there, as the
-    Lovasz-extension subgradients of ``solver.cutting_plane`` are, and
-    ``binary_t_lo`` then keeps the cut's own value at its point.  Invalid
-    masks raise CutPointError.
+    Lovasz-extension subgradients of ``solver.cutting_plane`` are.  The new
+    cuts are folded into t_lo at once: at the points not cut yet, and at
+    each new cut point as the larger of its value before and the cut's own
+    value s.z + d.  Cuts given without points are folded into every point.
+    Invalid masks raise CutPointError.
     """
     s, c, d = (np.asarray(v, dtype=float) for v in cut_row)
     if np.any(c != -1.0):
@@ -326,5 +278,18 @@ def add_cut(P, cut_row, masks=None):
     Q.domain, Q.t_tilde = P.domain, P.t_tilde
     Q.s = _read_only(np.concatenate([P.s, s.reshape(-1, s.shape[-1])]))
     Q.d = _read_only(np.concatenate([P.d, d.reshape(-1)]))
-    Q._parent, Q._masks, Q._t_lo, Q._cut = P, masks, None, None
+    # the new rows read back as contiguous float rows, whatever s's layout
+    s, d = Q.s[len(P.d):], Q.d[len(P.d):]
+    X = binary_points(P.domain.n)
+    if masks is None:
+        Q.t_lo, Q.cut = _read_only(_fold_cuts(s, d, X, P.t_lo)), P.cut
+        return Q
+    cut = P.cut.copy()
+    cut[masks] = True
+    at = np.flatnonzero(~cut)
+    t_lo = P.t_lo.copy()
+    t_lo[at] = _fold_cuts(s, d, X[at], t_lo[at])
+    own = np.matmul(s[:, None, :], X[masks][:, :, None])[:, 0, 0] + d
+    t_lo[masks] = np.maximum(t_lo[masks], own)
+    Q.t_lo, Q.cut = _read_only(t_lo), _read_only(cut)
     return Q

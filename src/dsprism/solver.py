@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .bound import INFEASIBLE, solve_bound, vertex_levels
-from .geometry import (Simplex, add_cut, binary_points, initial_polyhedron,
-                       initial_simplex, subdivide)
+from .geometry import (Polyhedron, Simplex, add_cut, binary_points, initial_simplex,
+                       subdivide)
 from .setfn import (GroundSetError, as_table, brute_force_min, lovasz,
                     lovasz_subgradient, set_of)
 
@@ -133,7 +133,7 @@ def solve(f, g, config=None, observer=None):
 
     _, t_tilde = brute_force_min(ft)
     S0 = initial_simplex(n, anchor)
-    P = initial_polyhedron(S0, t_tilde)
+    P = Polyhedron(S0, t_tilde)
 
     nodes_created = 0  # also the id of the next region
     deleted = {"dr1": 0, "dr2": 0, "bound": 0}

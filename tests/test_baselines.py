@@ -92,6 +92,16 @@ def test_greedy_exact_on_modular_difference():
     assert value == pytest.approx(-2.0 - 1.0 - 0.25)
 
 
+def test_greedy_has_no_ground_set_cap():
+    # greedy evaluates O(n^2) sets and tabulates nothing, so n = 30 is fine
+    rng = np.random.default_rng(12)
+    wf, wg = rng.normal(size=30), rng.normal(size=30)
+    mask, value = greedy(setfn.modular(wf), setfn.modular(wg))
+    neg = np.flatnonzero(wf - wg < 0)
+    assert mask == mask_of(neg.tolist())
+    assert value == pytest.approx(np.sum((wf - wg)[neg]), abs=1e-9)
+
+
 def test_greedy_worked_n1_and_dominance():
     f = setfn.table(1, [0.0, 1.0])
     g = setfn.table(1, [0.0, 2.0])

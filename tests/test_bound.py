@@ -6,7 +6,7 @@ import pytest
 from dsprism import setfn
 from dsprism.bound import (INFEASIBLE, SOLVED, binary_points, equivalence_check,
                            solve_bound, vertex_levels)
-from dsprism.geometry import (Simplex, add_cut, bisect, initial_polyhedron, initial_simplex,
+from dsprism.geometry import (Polyhedron, Simplex, add_cut, bisect, initial_simplex,
                               subdivide)
 from dsprism.setfn import indicator, lovasz, lovasz_subgradient
 
@@ -16,7 +16,7 @@ def worked_instance():
     f = setfn.table(1, [0.0, 1.0])
     g = setfn.table(1, [0.0, 2.0])
     S = initial_simplex(1)
-    P = initial_polyhedron(S, t_tilde=0.0)
+    P = Polyhedron(S, t_tilde=0.0)
     return f, g, S, P
 
 
@@ -75,7 +75,7 @@ def test_bound_monotone_in_polyhedron():
     f = setfn.as_table(setfn.cut(n, [(0, 1, 1.0), (1, 2, 0.5)]))
     g = setfn.as_table(setfn.modular(rng.normal(size=n)))
     S = initial_simplex(n)
-    P = initial_polyhedron(S, t_tilde=0.0)
+    P = Polyhedron(S, t_tilde=0.0)
     levels = vertex_levels(S, 0.0, g)
     prev = solve_bound(S, P, levels, g).beta
     for mask in (1, 3, 5):
@@ -90,7 +90,7 @@ def test_bound_monotone_in_polyhedron():
 def test_infeasible_when_no_binary_point():
     g = setfn.table(2, [0.0, 0.5, 0.5, 1.0])
     S = Simplex(np.array([[0.2, 0.2], [0.4, 0.2], [0.2, 0.4]]))
-    P = initial_polyhedron(initial_simplex(2), t_tilde=0.0)
+    P = Polyhedron(initial_simplex(2), t_tilde=0.0)
     levels = vertex_levels(S, 0.0, g)
     res = solve_bound(S, P, levels, g)
     assert res.status == INFEASIBLE
@@ -102,7 +102,7 @@ def test_smallest_mask_wins_objective_ties():
     # simplex excludes (1,1); the two singletons tie and mask 1 must win
     g = setfn.table(2, [0.0, 2.0, 2.0, 4.0])
     S = Simplex(np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]]))
-    P = initial_polyhedron(initial_simplex(2), t_tilde=0.0)
+    P = Polyhedron(initial_simplex(2), t_tilde=0.0)
     levels = vertex_levels(S, -1.0, g)
     res = solve_bound(S, P, levels, g)
     assert res.c_star == pytest.approx(1.0)
@@ -116,7 +116,7 @@ def test_equivalence_of_bilp_and_hyperplane_forms():
         vals_g = rng.normal(size=1 << n)
         g = setfn.table(n, vals_g)
         S = initial_simplex(n)
-        P = initial_polyhedron(S, t_tilde=float(np.min(vals_f)))
+        P = Polyhedron(S, t_tilde=float(np.min(vals_f)))
         levels = vertex_levels(S, 0.0, g)
         assert equivalence_check(S, P, levels)
 
@@ -140,7 +140,7 @@ def assert_same_bound(a, b):
 
 def fresh_copy(P):
     """P rebuilt in one piece: the same floor and cuts added as one block."""
-    return add_cut(initial_polyhedron(P.domain, P.t_tilde), (P.s, -np.ones(len(P.d)), P.d))
+    return add_cut(Polyhedron(P.domain, P.t_tilde), (P.s, -np.ones(len(P.d)), P.d))
 
 
 def test_solve_bound_on_grown_polyhedron_matches_fresh():
@@ -153,7 +153,7 @@ def test_solve_bound_on_grown_polyhedron_matches_fresh():
     S = initial_simplex(n)
     sub = Simplex(np.array([[0.0] * n] + [list(2.0 * np.eye(n)[i]) for i in range(n)]))
     levels = {T: vertex_levels(T, 0.0, g) for T in (S, sub)}
-    P = initial_polyhedron(S, t_tilde=-3.0)
+    P = Polyhedron(S, t_tilde=-3.0)
     grown = [P]
     for mask in (3, 5, 6, 9, 12, 15):
         x = indicator(mask, n)

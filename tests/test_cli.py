@@ -96,6 +96,20 @@ def test_malformed_instance_exits_with_message(command, text, reason, tmp_path, 
     assert reason in err
 
 
+@pytest.mark.parametrize("f, g, reason", [
+    pytest.param([1.0, -2.0, 0.5, -0.25], [0.5, 0.0, 1.5], "oracle f has 4 elements, but n is 3",
+                 id="f_larger_than_n"),
+    pytest.param([1.0, -2.0, 0.5], [0.5, 0.0], "oracle g has 2 elements, but n is 3",
+                 id="f_and_g_differ"),
+])
+def test_instance_ground_sets_must_match_n(f, g, reason, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "f": {"type": "modular", "weights": f},
+                                "g": {"type": "modular", "weights": g}}))
+    assert main(["solve", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err == "dsprism: cannot load instance %s: %s\n" % (path, reason)
+
+
 @pytest.mark.parametrize("argv, reason", [
     pytest.param(["solve", "--max-iters", "-1"], "max_iters must be nonnegative, got -1",
                  id="solve_negative_max_iters"),

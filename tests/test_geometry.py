@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dsprism import geometry, setfn
-from dsprism.geometry import (CutPointError, DegenerateSimplexError, Simplex, add_cut,
-                              barycentric, binary_points, bisect, hyperplane_through,
-                              initial_polyhedron, initial_simplex, longest_edge,
+from dsprism.geometry import (CutPointError, DegenerateSimplexError, Polyhedron, Simplex,
+                              add_cut, barycentric, binary_points, bisect,
+                              hyperplane_through, initial_simplex, longest_edge,
                               radial_subdivide, subdivide)
 from dsprism.setfn import indicator
 from dsprism.solver import cutting_plane
@@ -70,6 +70,12 @@ def test_longest_edge_lexicographic_tie_break():
     assert longest_edge(U) == (0, 1)
 
 
+def edge_length(S):
+    """Length of the edge longest_edge picks."""
+    i, j = longest_edge(S)
+    return float(np.linalg.norm(S.vertices[i] - S.vertices[j]))
+
+
 def test_bisect_partitions_volume():
     rng = np.random.default_rng(2)
     for n in (2, 3, 5):
@@ -77,7 +83,7 @@ def test_bisect_partitions_volume():
         A, B = bisect(S)
         assert A.volume_measure() + B.volume_measure() == pytest.approx(
             S.volume_measure(), rel=1e-9)
-        assert max(A.max_edge_length(), B.max_edge_length()) <= S.max_edge_length() + 1e-12
+        assert max(edge_length(A), edge_length(B)) <= edge_length(S) + 1e-12
 
 
 def test_bisection_shrinks_edges():
@@ -85,7 +91,7 @@ def test_bisection_shrinks_edges():
     S = initial_simplex(2)
     for _ in range(50):
         S, _ = bisect(S)
-    assert S.max_edge_length() < 1e-6
+    assert edge_length(S) < 1e-6
 
 
 def test_replace_vertex_matches_fresh_construction():
@@ -158,7 +164,7 @@ def test_hyperplane_through():
 def test_polyhedron_t_interval():
     # domain [0, 1] as a 1-simplex, floor t >= 0, cut t >= x0 - 0.25
     S = Simplex(np.array([[0.0], [1.0]]))
-    P = add_cut(initial_polyhedron(S, t_tilde=0.0), (np.array([1.0]), -1.0, -0.25))
+    P = add_cut(Polyhedron(S, t_tilde=0.0), (np.array([1.0]), -1.0, -0.25))
     assert P.t_interval(np.array([0.5])) == (pytest.approx(0.25), np.inf)
     assert P.t_interval(np.array([0.1])) == (0.0, np.inf)  # the floor binds
     assert P.t_interval(np.array([2.0])) is None
@@ -168,7 +174,7 @@ def test_initial_polyhedron_matches_simplex_membership():
     rng = np.random.default_rng(5)
     n = 3
     S = initial_simplex(n)
-    P = initial_polyhedron(S, t_tilde=-1.0)
+    P = Polyhedron(S, t_tilde=-1.0)
     for _ in range(50):
         x = rng.uniform(-0.5, 1.5, size=n)
         iv = P.t_interval(x, tol=1e-9)
@@ -179,7 +185,7 @@ def test_initial_polyhedron_matches_simplex_membership():
 
 def test_add_cut_appends_row():
     S = initial_simplex(2)
-    P = initial_polyhedron(S, t_tilde=0.0)
+    P = Polyhedron(S, t_tilde=0.0)
     rows = P.num_rows
     P2 = add_cut(P, (np.array([1.0, 0.0]), -1.0, 0.25))
     assert P2.num_rows == rows + 1
@@ -189,7 +195,7 @@ def test_add_cut_appends_row():
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -2.0, [-1.0, 0.5]])
 def test_add_cut_rejects_t_coefficient_other_than_minus_one(c):
-    P = initial_polyhedron(initial_simplex(2), t_tilde=0.0)
+    P = Polyhedron(initial_simplex(2), t_tilde=0.0)
     k = np.size(c)
     with pytest.raises(ValueError, match="c = -1"):
         add_cut(P, (np.ones((k, 2)), np.asarray(c), np.zeros(k)))
@@ -208,7 +214,7 @@ def kelley(Q):
 
 def test_add_cut_twice_on_same_polyhedron_is_independent():
     rng = np.random.default_rng(6)
-    P = add_cut(initial_polyhedron(initial_simplex(3), t_tilde=-1.0), random_cuts(3, 3, rng))
+    P = add_cut(Polyhedron(initial_simplex(3), t_tilde=-1.0), random_cuts(3, 3, rng))
     s, d = P.s.copy(), P.d.copy()
     S, c, dd = random_cuts(3, 2, rng)
     P1 = add_cut(P, (S[0], c[0], dd[0]))
@@ -228,17 +234,16 @@ def test_add_cut_twice_on_same_polyhedron_is_independent():
 def test_branched_polyhedra_fold_only_their_own_cuts():
     rng = np.random.default_rng(9)
     n = 3
-    P = add_cut(initial_polyhedron(initial_simplex(n), t_tilde=-1.0), random_cuts(n, 4, rng))
-    P.binary_t_lo()
+    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=-1.0), random_cuts(n, 4, rng))
     P1 = add_cut(P, random_cuts(n, 2, rng))
     P2 = add_cut(add_cut(P, random_cuts(n, 1, rng)), random_cuts(n, 3, rng))
-    for Q in (P2, P1, P):  # the newest first: each folds from P's array
-        assert np.allclose(Q.binary_t_lo(), kelley(Q), rtol=0.0, atol=1e-12)
+    for Q in (P2, P1, P):
+        assert np.allclose(Q.t_lo, kelley(Q), rtol=0.0, atol=1e-12)
 
 
 def test_block_add_cut_equals_rows_one_at_a_time():
     rng = np.random.default_rng(7)
-    P = initial_polyhedron(initial_simplex(4), t_tilde=0.0)
+    P = Polyhedron(initial_simplex(4), t_tilde=0.0)
     S, c, d = random_cuts(4, 37, rng)
     one = P
     for j in range(len(d)):
@@ -247,19 +252,20 @@ def test_block_add_cut_equals_rows_one_at_a_time():
     assert block.num_rows == one.num_rows == P.num_rows + 37
     for name in ("s", "d"):
         assert np.array_equal(getattr(block, name), getattr(one, name))
-    assert np.array_equal(block.binary_t_lo(), one.binary_t_lo())
+    for Q in (block, one):  # one matmul or 37 folds: equal to rounding
+        assert np.allclose(Q.t_lo, kelley(Q), rtol=0.0, atol=1e-12)
 
 
 def test_binary_bounds_match_t_interval():
     rng = np.random.default_rng(8)
     n = 3
-    P = initial_polyhedron(initial_simplex(n, v_mask=5), t_tilde=-2.0)
+    P = Polyhedron(initial_simplex(n, v_mask=5), t_tilde=-2.0)
     P = add_cut(P, random_cuts(n, 6, rng))
-    t_lo = P.binary_t_lo()
+    t_lo = P.t_lo
     for m, x in enumerate(binary_points(n)):
         assert P.t_interval(x) == (pytest.approx(t_lo[m], abs=1e-12), np.inf)
     with pytest.raises(ValueError):
-        t_lo[0] = 0.0  # the cached array is read-only
+        t_lo[0] = 0.0  # the array is read-only
 
 
 def own_values(cuts, masks):
@@ -278,30 +284,31 @@ def test_cut_points_are_final_and_kept_per_branch():
         return cutting_plane(f, X[masks], f.table_values[masks] - 1.0)
 
     A, B1, B2a, B2b = [3, 5], [6, 9, 12], [10], [7, 15]
-    P = add_cut(initial_polyhedron(initial_simplex(n), t_tilde=-1.0), tight(A), A)
-    base = P.binary_t_lo()
+    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=-1.0), tight(A), A)
+    base = P.t_lo
     P1 = add_cut(P, tight(B1), B1)
-    P2 = add_cut(add_cut(P, tight(B2a), B2a), tight(B2b), B2b)  # two steps, folded at once
+    P2 = add_cut(add_cut(P, tight(B2a), B2a), tight(B2b), B2b)  # two steps
     own = {m: v for ms in (A, B1, B2a, B2b) for m, v in zip(ms, own_values(tight(ms), ms))}
     for Q, cut_at in ((P2, A + B2a + B2b), (P1, A + B1), (P, A)):
-        t_lo = Q.binary_t_lo()
+        t_lo = Q.t_lo
         # its own cuts only: Kelley's value over Q's cuts, to rounding
         assert np.allclose(t_lo, kelley(Q), rtol=0.0, atol=1e-12)
         assert np.array_equal(t_lo[cut_at], [own[m] for m in cut_at])
+        assert np.array_equal(np.flatnonzero(Q.cut), sorted(cut_at))
         assert np.array_equal(t_lo[A], base[A])  # later cuts leave A as it was
         assert np.all(t_lo <= f.table_values + 1e-12)
     # a later cut that lies above every point (no valid cut does) raises
     # exactly the points its branch has not cut
     high = (np.zeros((1, n)), -np.ones(1), np.full(1, 10.0))
     for Q, cut_at in ((P1, A + B1), (P2, A + B2a + B2b)):
-        t_lo = add_cut(Q, high, [0]).binary_t_lo()
+        t_lo = add_cut(Q, high, [0]).t_lo
         uncut = np.setdiff1d(np.arange(1 << n), cut_at)
-        assert np.array_equal(t_lo[cut_at], Q.binary_t_lo()[cut_at])
+        assert np.array_equal(t_lo[cut_at], Q.t_lo[cut_at])
         assert np.all(t_lo[uncut] == 10.0)
     # cuts given without points still fold everywhere, cut points included,
     # and a cut point keeps a higher t_lo it already had
-    assert np.all(add_cut(P1, high).binary_t_lo() == 10.0)
-    assert add_cut(add_cut(P1, high), tight([0]), [0]).binary_t_lo()[0] == 10.0
+    assert np.all(add_cut(P1, high).t_lo == 10.0)
+    assert add_cut(add_cut(P1, high), tight([0]), [0]).t_lo[0] == 10.0
 
 
 @pytest.mark.parametrize("masks, match", [
@@ -313,8 +320,7 @@ def test_cut_points_are_final_and_kept_per_branch():
     ([1.0, 2.0], "integer masks"),
 ])
 def test_add_cut_rejects_invalid_cut_points(masks, match, monkeypatch):
-    P = initial_polyhedron(initial_simplex(4), t_tilde=0.0)
-    P.binary_t_lo()
+    P = Polyhedron(initial_simplex(4), t_tilde=0.0)
     folds = []
     monkeypatch.setattr(geometry, "_fold_cuts", lambda *args: folds.append(args))
     with pytest.raises(CutPointError, match=match):

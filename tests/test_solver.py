@@ -317,7 +317,7 @@ def test_binary_t_lo_of_solver_polyhedra():
 
                 solve(inst.f, inst.g, SolverConfig(initial_vertex=v), observer=observer)
                 for P in polyhedra.values():
-                    t_lo = P.binary_t_lo()
+                    t_lo = P.t_lo
                     direct = np.maximum(P.t_tilde, np.max(P.s @ X.T + P.d[:, None], axis=0,
                                                           initial=-np.inf))
                     assert np.all(np.abs(t_lo - direct) <= 1e-12 * np.maximum(1.0, np.abs(f)))
