@@ -21,7 +21,7 @@ def modular_lower_bound(g, current_mask, perm):
     perm = [int(i) for i in perm]
     if sorted(perm) != list(range(n)):
         raise ValueError("perm is not a permutation of the ground set")
-    k = bin(current_mask).count("1")
+    k = current_mask.bit_count()
     if {i for i in perm[:k]} != set(set_of(current_mask)):
         raise ValueError("current set is not a prefix of perm")
     weights = np.empty(n)

@@ -276,7 +276,7 @@ def run_bench(p=10, n_samples=40, k=3, lambdas=(0.25, 0.5, 1.0, 2.0), reps=10,
                                                  base.y_test, mask)
                 rows.append({"method": method, "p": p, "n": n_samples, "k": k,
                              "lambda": lam, "seed": seed + rep, "objective": obj,
-                             "card": bin(mask).count("1"), "train_err": train,
+                             "card": mask.bit_count(), "train_err": train,
                              "test_err": test, "wall_ms": wall})
     aggregates = aggregate_bench(rows)
     return rows, aggregates

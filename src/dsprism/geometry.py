@@ -89,8 +89,11 @@ def barycentric(S, x):
     """The unique lambda with sum(lambda) = 1 and sum(lambda_i v_i) = x, at
     a point x (n,) or for each row of a block (m, n); returns (n+1,) or
     (m, n+1)."""
-    x = np.asarray(x, dtype=float)
-    return np.append(x, np.ones(x.shape[:-1] + (1,)), axis=-1) @ S._minv.T
+    grid, h = _binary_grid_cache.get(S.n, (None, None))
+    if x is not grid:  # the binary grid's homogeneous form is cached
+        x = np.asarray(x, dtype=float)
+        h = np.append(x, np.ones(x.shape[:-1] + (1,)), axis=-1)
+    return h @ S._minv.T
 
 
 def initial_simplex(n, v_mask=0):
@@ -162,6 +165,7 @@ def hyperplane_through(points, heights):
     return sol[:n], float(sol[n])
 
 
+# n -> (binary_points(n), the same rows with a column of ones appended)
 _binary_grid_cache = {}
 
 
@@ -169,8 +173,10 @@ def binary_points(n):
     """All 2^n binary vectors as a (2^n, n) array, mask-ascending rows."""
     if n not in _binary_grid_cache:
         masks = np.arange(1 << n)
-        _binary_grid_cache[n] = _read_only(((masks[:, None] >> np.arange(n)) & 1).astype(float))
-    return _binary_grid_cache[n]
+        grid = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        _binary_grid_cache[n] = (_read_only(grid),
+                                 _read_only(np.append(grid, np.ones((1 << n, 1)), axis=-1)))
+    return _binary_grid_cache[n][0]
 
 
 # float64 entries (2 MB) of the temporary that evaluates a chunk of cuts at

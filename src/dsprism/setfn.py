@@ -119,21 +119,49 @@ def _column_kernel(n, empty, block):
 # Library constructors
 
 
+def _finite(name, values):
+    """values as a float array; a ValueError names the first non-finite
+    entry, by ``name % index``."""
+    a = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError("%s is %r; parameters must be finite"
+                         % (name % bad[0], a.tolist()[bad[0]]))
+    return a
+
+
+def _slice_sums(w):
+    """Subset sums of w, one 256-entry list per 8-element slice (the last one
+    2^(slice length) entries): entry b of slice k is the sum, in ascending
+    index order from 0.0, of the w[8k + i] with bit i of b set."""
+    tables = []
+    for k in range(0, len(w), 8):
+        tab = [0.0]
+        for x in w[k:k + 8]:
+            tab += [t + x for t in tab]
+        tables.append(tab)
+    return tables
+
+
 def modular(weights):
-    w = np.asarray(weights, dtype=float).tolist()  # Python floats: fast scalar sums
-    n = len(w)
+    w = _finite("weights[%d]", weights).tolist()
+    tables = _slice_sums(w)
 
     def fn(mask):
-        return float(sum(w[i] for i in range(n) if (mask >> i) & 1))
+        total = 0.0
+        for tab in tables:
+            total += tab[mask & 255]
+            mask >>= 8
+        return total
 
-    return SetFunction(n, fn, "modular",
-                       spec={"type": "modular", "weights": list(w)},
+    return SetFunction(len(w), fn, "modular",
+                       spec={"type": "modular", "weights": w},
                        submodular=True)
 
 
 def cardinality_concave(n, phi):
     """phi applied to |A|; phi is a list of n+1 values, concave nondecreasing."""
-    phi = [float(v) for v in phi]
+    phi = _finite("phi[%d]", phi).tolist()
     if len(phi) != n + 1:
         raise ValueError("phi must have n+1 values")
     for k in range(n):
@@ -144,33 +172,66 @@ def cardinality_concave(n, phi):
             raise ValueError("phi must be concave")
 
     def fn(mask):
-        return phi[bin(mask).count("1")]
+        return phi[mask.bit_count()]
 
     return SetFunction(n, fn, "cardinality_concave",
                        spec={"type": "cardinality_concave", "phi": phi},
                        submodular=True)
 
 
+# the 8 elements of a pair of 4-element slices (low slice: bits 0-3): for
+# each of their 28 pairs i < j, 1.0 at the table indexes b that cut it
+_PAIR_I, _PAIR_J = np.triu_indices(8, 1)
+_PAIR_CUT = (((np.arange(256) >> _PAIR_I[:, None]) & 1)
+             != ((np.arange(256) >> _PAIR_J[:, None]) & 1)).astype(float)
+
+
 def cut(n, edges):
-    """Graph cut: edges are (u, v, weight) with nonnegative weights."""
-    es = []
-    for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
-        if w < 0:
-            raise ValueError("negative edge weight %g" % w)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError("edge endpoint outside ground set")
-        es.append((u, v, w))
+    """Graph cut: edges are (u, v, weight) with nonnegative weights.
+
+    The ground set is split into 4-element slices, and each edge is charged
+    to a pair of slices: the two slices it joins, or for an edge inside a
+    slice one pair holding that slice.  A pair's table gives the cut weight
+    of its edges for each of the 256 subsets of its 8 elements, so a value
+    is one lookup per pair that carries an edge (for n <= 8 a single table
+    of 2^n entries)."""
+    E = np.asarray(edges, dtype=float)
+    if E.size == 0:
+        E = E.reshape(0, 3)
+    if E.ndim != 2 or E.shape[1] != 3:
+        raise ValueError("edges must be (u, v, weight) triples")
+    if not ((0 <= E[:, :2]) & (E[:, :2] < n)).all():
+        raise ValueError("edge endpoint outside ground set")
+    u, v = E[:, 0].astype(np.int64), E[:, 1].astype(np.int64)
+    w = _finite("weight of edges[%d]", E[:, 2])
+    if np.any(w < 0):
+        raise ValueError("negative edge weight %g" % w[np.argmax(w < 0)])
+    # slices lo < hi of each edge's pair: an edge inside slice a goes to
+    # (a, a+1), or to (a-1, a) when a is the last of the m >= 2 slices
+    m = max(2, (n + 3) >> 2)
+    lo, hi = np.minimum(u, v) >> 2, np.maximum(u, v) >> 2
+    hi = np.maximum(hi, np.minimum(lo + 1, m - 1))
+    lo = np.minimum(lo, hi - 1)
+    pairs, which = np.unique(lo * m + hi, return_inverse=True)
+    # the endpoints' places among the pair's 8 elements (high slice: 4-7)
+    pu = (u & 3) | ((u >> 2 == hi) << 2)
+    pv = (v & 3) | ((v >> 2 == hi) << 2)
+    W = np.zeros((len(pairs), 8, 8))
+    np.add.at(W, (which, np.minimum(pu, pv), np.maximum(pu, pv)), w)  # self-loops: diagonal
+    cuts = (W[:, _PAIR_I, _PAIR_J].T[:, :, None] * _PAIR_CUT[:, None, :]).sum(axis=0)
+    # (shift of the low slice to bits 0-3, of the high one to bits 4-7, table)
+    tables = [(int(p // m) << 2, (int(p % m) << 2) - 4, tab[:1 << min(n, 8)])
+              for p, tab in zip(pairs.tolist(), cuts.tolist())]
 
     def fn(mask):
         total = 0.0
-        for u, v, w in es:
-            if ((mask >> u) & 1) != ((mask >> v) & 1):
-                total += w
+        for low, high, tab in tables:
+            total += tab[((mask >> low) & 15) | ((mask >> high) & 240)]
         return total
 
     return SetFunction(n, fn, "cut",
-                       spec={"type": "cut", "edges": [[u, v, w] for u, v, w in es]},
+                       spec={"type": "cut", "edges": [[a, b, c] for a, b, c in
+                                                      zip(u.tolist(), v.tolist(), w.tolist())]},
                        submodular=True)
 
 
@@ -238,10 +299,10 @@ def gaussian_entropy(sigma):
 
 def table(n, values):
     """Explicit table of 2^n finite values, indexed by mask."""
-    vals = [float(v) for v in values]
-    if len(vals) != 1 << n:
+    arr = np.array(values, dtype=float)
+    if arr.shape != (1 << n,):
         raise ValueError("table must have exactly 2^n values")
-    arr = np.array(vals)
+    vals = arr.tolist()
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise ValueError("set-function value at mask %d is %r; values must be finite"
@@ -259,11 +320,14 @@ def table(n, values):
 
 def coverage(n, item_weights, covers):
     """Weighted coverage: element i covers the universe items in covers[i];
-    f(A) = total weight of the union of covered items."""
-    w = np.asarray(item_weights, dtype=float)
+    f(A) = total weight of the union of covered items.
+
+    A value ORs one cover table per 8-element slice of A into the covered
+    items, then sums one weight table per 8-item slice of those."""
+    w = _finite("item_weights[%d]", item_weights)
     if np.any(w < 0):
         raise ValueError("coverage item weights must be nonnegative")
-    w = w.tolist()  # Python floats: fast scalar sums
+    w = w.tolist()
     if len(covers) != n:
         raise ValueError("covers must have one entry per ground element")
     cover_masks = []
@@ -275,16 +339,27 @@ def coverage(n, item_weights, covers):
                 raise ValueError("covered item index out of range")
             cm |= 1 << u
         cover_masks.append(cm)
+    cover_tables = []
+    for k in range(0, n, 8):
+        tab = [0]
+        for cm in cover_masks[k:k + 8]:
+            tab += [c | cm for c in tab]
+        cover_tables.append(tab)
+    weight_tables = _slice_sums(w)
 
     def fn(mask):
         covered = 0
-        for i in range(n):
-            if (mask >> i) & 1:
-                covered |= cover_masks[i]
-        return float(sum(w[u] for u in range(len(w)) if (covered >> u) & 1))
+        for tab in cover_tables:
+            covered |= tab[mask & 255]
+            mask >>= 8
+        total = 0.0
+        for tab in weight_tables:
+            total += tab[covered & 255]
+            covered >>= 8
+        return total
 
     return SetFunction(n, fn, "coverage",
-                       spec={"type": "coverage", "item_weights": list(w),
+                       spec={"type": "coverage", "item_weights": w,
                              "covers": [set_of(cm) for cm in cover_masks]},
                        submodular=True)
 
@@ -295,7 +370,9 @@ def make_function(spec, n=None):
     if kind == "modular":
         return modular(spec["weights"])
     if kind == "cardinality_concave":
-        return cardinality_concave(n if n is not None else spec.get("n"), spec["phi"])
+        if n is None:
+            n = spec.get("n", len(spec["phi"]) - 1)
+        return cardinality_concave(n, spec["phi"])
     if kind == "cut":
         if n is None:
             raise ValueError("cut spec needs the ground-set size")
@@ -441,7 +518,7 @@ def ds_decompose(f, g, slack=1e-9):
     if viol <= slack:
         return ft, gt, 0.0
     M = 0.5 * viol * (1.0 + 1e-6) + slack
-    card = np.array([bin(m).count("1") for m in range(1 << n)])
+    card = np.bitwise_count(np.arange(1 << n))
     q = M * card * (n - card)
     f2 = table(n, ft.table_values + q)
     g2 = table(n, gt.table_values + q)

@@ -52,6 +52,15 @@ def test_barycentric_many_matches_single():
         assert np.allclose(L[i], barycentric(S, X[i]), rtol=0, atol=1e-12)
 
 
+def test_barycentric_of_the_binary_grid_uses_the_same_product():
+    # the grid's cached homogeneous form gives the bits of a fresh copy
+    rng = np.random.default_rng(2)
+    for n in (1, 3, 6):
+        S = random_simplex(n, rng)
+        grid = binary_points(n)
+        assert np.array_equal(barycentric(S, grid), barycentric(S, grid.copy()))
+
+
 def test_initial_simplex_contains_cube():
     for n in range(1, 7):
         for v_mask in range(1 << n):

@@ -10,6 +10,7 @@ from dsprism.setfn import (GroundSetError, as_table, brute_force_ds_min,
                            brute_force_min, ds_decompose, indicator, is_submodular,
                            lovasz, lovasz_subgradient, make_function, mask_of,
                            max_submodularity_violation, set_of)
+from dsprism.solver import solve
 
 
 def reference_lovasz(oracle, x):
@@ -400,3 +401,112 @@ def test_values_rejects_masks_outside_ground_set(mask):
     for oracle in (f, as_table(f)):
         with pytest.raises(GroundSetError, match="mask %d outside" % mask):
             oracle.values(np.array([3, mask]))
+
+
+# ---------------------------------------------------------------------------
+# The bit-operation oracles against their definitions
+
+
+def bit_oracle_cases(n, seed):
+    """(oracle, reference values at an array of masks, scale of the terms)
+    for cut, modular, coverage and cardinality_concave; the references loop
+    over edges, elements and covered items as the definitions read."""
+    rng = np.random.default_rng(seed)
+    # edges inside a 4-element slice and across slices, a parallel pair,
+    # a self-loop and endpoints given in both orders
+    edges = [(int(rng.integers(n)), int(rng.integers(n)), float(rng.uniform(0.0, 2.0)))
+             for _ in range(3 * n)]
+    edges += [(0, n - 1, 0.5), (n - 1, 0, 0.25), (n // 2, n // 2, 7.0)]
+    w = rng.normal(size=n)
+    items = n + 5
+    item_w = rng.uniform(0.0, 1.0, size=items)
+    covers = [[u for u in range(items) if rng.random() < 0.3] for _ in range(n)]
+    phi = np.concatenate([[0.0], np.cumsum(np.sort(rng.uniform(0.1, 1.0, size=n))[::-1])])
+
+    def bit(masks, i):
+        return (masks >> i) & 1
+
+    def cut_ref(masks):
+        return sum((c * (bit(masks, u) != bit(masks, v)) for u, v, c in edges), 0.0)
+
+    def modular_ref(masks):
+        return sum((w[i] * bit(masks, i) for i in range(n)), 0.0)
+
+    def coverage_ref(masks):
+        covered = [sum(bit(masks, i) for i in range(n) if u in covers[i]) > 0
+                   for u in range(items)]
+        return sum((item_w[u] * covered[u] for u in range(items)), 0.0)
+
+    def card_ref(masks):
+        return phi[sum(bit(masks, i) for i in range(n))]
+
+    return [(setfn.cut(n, edges), cut_ref, sum(c for _, _, c in edges)),
+            (setfn.modular(w), modular_ref, np.abs(w).sum()),
+            (setfn.coverage(n, item_w, covers), coverage_ref, item_w.sum()),
+            (setfn.cardinality_concave(n, phi), card_ref, phi[-1])]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 12, 13])
+def test_bit_oracles_match_definition_at_every_mask(n):
+    masks = np.arange(1 << n)
+    for oracle, ref, scale in bit_oracle_cases(n, seed=n):
+        got = [oracle(m) for m in masks.tolist()]
+        assert np.allclose(got, ref(masks), rtol=0.0, atol=1e-12 * (1.0 + scale)), oracle.name
+        assert [oracle(m) for m in masks.tolist()] == got  # repeats are bit-identical
+        rebuilt = make_function(oracle.spec, n=n)
+        assert [rebuilt(m) for m in masks.tolist()] == got
+
+
+def test_cut_edge_cases():
+    c = setfn.cut(5, [(1, 0, 1.0), (0, 1, 2.0), (2, 2, 5.0), (3, 4, 0.5), (4, 1, 0.25)])
+    assert c(0b00000) == 0.0
+    assert c(0b00001) == 3.0  # parallel edges, one given reversed
+    assert c(0b00100) == 0.0  # a self-loop is never cut
+    assert c(0b01000) == 0.5  # across the first two 4-element slices
+    assert c(0b10010) == 3.5
+    # n = 30: eight slices, pairs of slices far apart, random masks
+    rng = np.random.default_rng(3)
+    edges = [(u, (u + 1) % 30, 1.0) for u in range(30)]
+    edges += [(int(rng.integers(30)), int(rng.integers(30)), float(rng.uniform()))
+              for _ in range(40)]
+    c = setfn.cut(30, edges)
+    for m in rng.integers(0, 1 << 30, size=50).tolist() + [0, (1 << 30) - 1]:
+        want = sum(x for u, v, x in edges if ((m >> u) & 1) != ((m >> v) & 1))
+        assert c(m) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_solve_tabulates_each_kernelless_oracle_once():
+    # as perfbench wraps oracles: a counting fn and no kernel
+    n = 6
+    f = bit_oracle_cases(n, seed=0)[0][0]
+    g = setfn.modular(np.linspace(-1.0, 1.0, n))
+    calls = {"f": 0, "g": 0}
+
+    def counted(oracle, key):
+        def fn(m):
+            calls[key] += 1
+            return oracle(m)
+        return setfn.SetFunction(n, fn)
+
+    rep = solve(counted(f, "f"), counted(g, "g"))
+    assert calls == {"f": 1 << n, "g": 1 << n}
+    assert rep.optimal_value == pytest.approx(brute_force_ds_min(f, g)[1], abs=1e-9)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda bad: setfn.cut(3, [(0, 1, 1.0), (1, 2, bad)]), r"weight of edges\[1\] is"),
+    (lambda bad: setfn.modular([1.0, bad]), r"weights\[1\] is"),
+    (lambda bad: setfn.coverage(2, [bad, 1.0], [[0], [1]]), r"item_weights\[0\] is"),
+    (lambda bad: setfn.cardinality_concave(2, [0.0, bad, 1.0]), r"phi\[1\] is"),
+], ids=["cut", "modular", "coverage", "cardinality_concave"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constructors_reject_non_finite_parameters(build, message, bad):
+    with pytest.raises(ValueError, match=message):
+        build(bad)
+
+
+def test_cardinality_concave_spec_round_trip():
+    f = setfn.cardinality_concave(3, [0.0, 1.0, 1.5, 1.75])
+    for g in (make_function(f.spec), make_function(f.spec, n=3),
+              make_function(dict(f.spec, n=3))):
+        assert g.n == 3 and [g(m) for m in range(8)] == [f(m) for m in range(8)]
