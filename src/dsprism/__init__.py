@@ -8,9 +8,8 @@ from .setfn import (SetFunction, lovasz, lovasz_subgradient,
                     gaussian_entropy, table, coverage, mask_of, set_of,
                     indicator, is_submodular, as_table)
 from .geometry import (Simplex, Polyhedron, initial_simplex, barycentric,
-                       bisect, hyperplane_through, add_cut, CutPointError,
-                       DegenerateSimplexError)
-from .bound import VertexLevels, BoundResult, vertex_levels, solve_bound, equivalence_check
+                       bisect, add_cut, CutPointError, DegenerateSimplexError)
+from .bound import VertexLevels, BoundResult, vertex_levels, solve_bound
 from .solver import SolverConfig, SolveReport, solve, cutting_plane
 from .baselines import modular_lower_bound, ssp, greedy
 from .experiments import (FsInstanceSpec, gen_feature_selection, gen_random_ds,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MEMBERSHIP_TOL, barycentric, binary_points, hyperplane_through
+from .geometry import MEMBERSHIP_TOL, barycentric, binary_points
 from .setfn import lovasz
 
 
@@ -69,13 +69,22 @@ def solve_bound(S, P, levels, g):
     """
     grid = binary_points(S.n)
     lam = barycentric(S, grid)
-    masks = np.nonzero(np.min(lam, axis=1) >= -MEMBERSHIP_TOL)[0]
+    # the least coordinate of each point, one column at a time: a reduction
+    # along the short rows costs a numpy inner loop per point
+    low = lam[:, 0].copy()
+    for j in range(1, S.n + 1):
+        np.minimum(low, lam[:, j], out=low)
+    masks = np.flatnonzero(low >= -MEMBERSHIP_TOL)
     if len(masks) == 0:
         return BoundResult(status=INFEASIBLE, beta=np.inf)
 
     mu = levels.mu
     t_lo = P.t_lo[masks]
-    obj = lam[masks] @ levels.t - t_lo
+    # a gathered copy only when some point lies outside: gemv sums a row
+    # in an order that depends on its place in a block of rows, so the
+    # product over every row and then a gather moves bits
+    inside = lam if len(masks) == len(lam) else lam[masks]
+    obj = inside @ levels.t - t_lo
     j = int(np.argmax(obj))  # first max: smallest mask wins ties
     best_obj = float(obj[j])
     mask = int(masks[j])
@@ -86,22 +95,3 @@ def solve_bound(S, P, levels, g):
                        witness_x=grid[mask].copy(), witness_t=float(t_lo[j]),
                        witness_mask=mask, feasible_points=masks, feasible_t_lo=t_lo)
 
-
-def equivalence_check(S, P, levels, tol=1e-8):
-    """Cross-check the bound program against its hyperplane form.
-
-    Verifies that on every binary point in S the two objectives differ by
-    the constant gamma, and that the optimal values satisfy
-    gamma* = c* + gamma.  Returns True when everything agrees.
-    """
-    p, gamma = hyperplane_through(S.vertices, levels.t)
-    grid = binary_points(S.n)
-    lam = barycentric(S, grid)
-    inside = np.min(lam, axis=1) >= -MEMBERSHIP_TOL
-    if not inside.any():
-        return True
-    t_lo = P.t_lo[inside]
-    obj_mip = lam[inside] @ levels.t - t_lo
-    obj_hyp = grid[inside] @ p - t_lo
-    return bool(np.all(np.abs(obj_hyp - (obj_mip + gamma)) <= tol)
-                and abs(np.max(obj_hyp) - (np.max(obj_mip) + gamma)) <= tol)

@@ -13,7 +13,7 @@ only into the binary points not cut yet.
 
 import numpy as np
 
-from .numerics import SingularMatrixError, det, lu_factor, lu_solve, lu_solve_factored
+from .numerics import SingularMatrixError, det, lu_factor, lu_solve_factored
 from .setfn import indicator
 
 DEGENERACY_TOL = 1e-12
@@ -67,19 +67,21 @@ class Simplex:
         V[i] = r
         u = lam.copy()
         u[i] -= 1.0
-        minv = self._minv - np.outer(u, self._minv[i]) / lam[i]
-        child = object.__new__(Simplex)
-        child.vertices = _read_only(V)
-        child.n = self.n
-        child._minv = _read_only(minv)
-        return child
+        return Simplex._of(V, self._minv - np.outer(u, self._minv[i]) / lam[i])
+
+    @staticmethod
+    def _of(V, minv):
+        """The simplex with vertices V and barycentric matrix minv, as
+        given: no factorization and no degeneracy test."""
+        S = object.__new__(Simplex)
+        S.vertices = _read_only(V)
+        S.n = V.shape[1]
+        S._minv = _read_only(minv)
+        return S
 
     def volume_measure(self):
         """|det| of the edge matrix (n! times the Euclidean volume)."""
         return abs(det((self.vertices[1:] - self.vertices[0]).T))
-
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.min(barycentric(self, x)) >= -tol)
 
     def __repr__(self):
         return "Simplex(n=%d)" % self.n
@@ -99,17 +101,30 @@ def barycentric(S, x):
 def initial_simplex(n, v_mask=0):
     """Enclosing simplex of the unit cube anchored at the cube vertex v_mask.
 
-    The apex is the chosen cube vertex; the n remaining vertices are the
+    The apex a is the chosen cube vertex; the n remaining vertices are the
     points where the bounding hyperplane meets the cone edges leaving the
-    apex (a step of length n along each free coordinate direction).
+    apex (a step of length n along each free coordinate direction, of sign
+    sigma_i = +1 where a_i = 0 and -1 where a_i = 1).  The barycentric
+    coordinates have a closed form: lambda_i = sigma_i (x_i - a_i) / n for
+    the vertex a + n sigma_i e_i.  lambda_0 is solved from the equation the
+    LU of Simplex(vertices) pivots on first, x_k for the lowest k with
+    a_k = 1 or sum(lambda) = 1 when a = 0, as its back substitution solves
+    it, so the matrix equals the factored one bit for bit.
     """
     apex = indicator(v_mask, n)
-    verts = [apex]
-    for i in range(n):
-        d = np.zeros(n)
-        d[i] = -1.0 if (v_mask >> i) & 1 else 1.0
-        verts.append(apex + n * d)
-    return Simplex(np.array(verts))
+    sigma = 1.0 - 2.0 * apex
+    minv = np.zeros((n + 1, n + 1))
+    minv[1:, :n] = np.diag(sigma / n)
+    minv[1:, n] = apex / n  # -sigma_i a_i / n
+    # that equation's coefficients of lambda_1..lambda_n: all 1 (the x_k row
+    # has 1 - n at vertex k + 1), and 1 at lambda_0
+    k = (v_mask & -v_mask).bit_length() - 1 if v_mask else n
+    u = np.ones(n)
+    if k < n:
+        u[k] = 1.0 - n
+    minv[0, k] = 1.0
+    minv[0] -= u @ minv[1:]
+    return Simplex._of(apex + np.vstack([np.zeros(n), np.diag(n * sigma)]), minv)
 
 
 def longest_edge(S):
@@ -150,19 +165,6 @@ def subdivide(S, r):
     if np.max(lam) >= 1.0 - 1e-9:
         return bisect(S)
     return radial_subdivide(S, r, lam)
-
-
-def hyperplane_through(points, heights):
-    """The hyperplane {p.x - t = gamma} through the lifted points (v_i, t_i).
-
-    Returns (p, gamma); raises on a degenerate base.
-    """
-    V = np.asarray(points, dtype=float)
-    t = np.asarray(heights, dtype=float)
-    n = V.shape[1]
-    A = np.hstack([V, -np.ones((n + 1, 1))])
-    sol = lu_solve(A, t)
-    return sol[:n], float(sol[n])
 
 
 # n -> (binary_points(n), the same rows with a column of ones appended)
@@ -247,16 +249,6 @@ class Polyhedron:
     def num_rows(self):
         """The floor plus the cuts."""
         return 1 + len(self.d)
-
-    def t_interval(self, x, tol=1e-9):
-        """Feasible t-range (t_lo, inf) at a fixed x, or None when x lies
-        outside the domain by more than tol.  This is Kelley's value over
-        all cuts; at a cut point it may differ from the t_lo array in the
-        last digits."""
-        x = np.asarray(x, dtype=float)
-        if not self.domain.contains(x, tol):
-            return None
-        return max(self.t_tilde, float(np.max(self.s @ x + self.d, initial=-np.inf))), np.inf
 
     def __repr__(self):
         return "Polyhedron(rows=%d)" % self.num_rows

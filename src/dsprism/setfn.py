@@ -72,16 +72,21 @@ class SetFunction:
     def __call__(self, mask):
         if mask >> self.n:
             raise GroundSetError("mask %d outside ground set of size %d" % (mask, self.n))
-        if self._fn is None:
+        fn = self._fn
+        if fn is None:
             return float(self._kernel(np.array([mask], dtype=np.int64))[0])
-        return float(self._fn(int(mask)))
+        # a Python int in, a Python float out; converting only what is not
+        # one already halves the call's overhead
+        value = fn(mask if type(mask) is int else int(mask))
+        return value if type(value) is float else float(value)
 
     def values(self, masks):
         """Values at an integer array of masks, same shape: one kernel call,
         or one oracle call per mask when there is no kernel."""
         masks = np.asarray(masks)
         if self._kernel is None:  # each call rejects a mask outside
-            return np.array([self(m) for m in masks.ravel().tolist()]).reshape(masks.shape)
+            return np.fromiter(map(self, masks.ravel().tolist()), dtype=float,
+                               count=masks.size).reshape(masks.shape)
         outside = masks >> self.n  # nonzero for a negative mask or one >= 2^n
         if outside.any():
             raise GroundSetError("mask %d outside ground set of size %d"
@@ -202,6 +207,10 @@ def cut(n, edges):
         raise ValueError("edges must be (u, v, weight) triples")
     if not ((0 <= E[:, :2]) & (E[:, :2] < n)).all():
         raise ValueError("edge endpoint outside ground set")
+    fractional = np.flatnonzero((E[:, :2] % 1.0 != 0.0).any(axis=1))
+    if fractional.size:
+        raise ValueError("edges[%d] is %r; endpoints must be integers"
+                         % (fractional[0], E[fractional[0]].tolist()))
     u, v = E[:, 0].astype(np.int64), E[:, 1].astype(np.int64)
     w = _finite("weight of edges[%d]", E[:, 2])
     if np.any(w < 0):
@@ -331,9 +340,12 @@ def coverage(n, item_weights, covers):
     if len(covers) != n:
         raise ValueError("covers must have one entry per ground element")
     cover_masks = []
-    for items in covers:
+    for i, items in enumerate(covers):
         cm = 0
         for u in items:
+            if not float(u).is_integer():
+                raise ValueError("covers[%d] holds item %r; item indices must be integers"
+                                 % (i, u))
             u = int(u)
             if not (0 <= u < len(w)):
                 raise ValueError("covered item index out of range")
@@ -410,6 +422,23 @@ def as_table(oracle):
 # Lovász extension
 
 
+def _split_binary(X):
+    """(binary, B, R) for a (k, n) block X: which rows are characteristic
+    vectors, those rows and the others, None for an empty part.  A part
+    that is the whole block is X itself: boolean indexing would dominate
+    the cost of a single point."""
+    binary = ((X == 0.0) | (X == 1.0)).all(axis=1)
+    k = np.count_nonzero(binary)
+    B = None if k == 0 else X if k == len(X) else X[binary]
+    R = None if k == len(X) else X if k == 0 else X[~binary]
+    return binary, B, R
+
+
+def _masks_of(B):
+    """The int64 masks of the rows of a binary block B."""
+    return B.astype(np.int64) @ np.left_shift(1, np.arange(B.shape[-1]))
+
+
 def _chain_order(x):
     # nonincreasing values, ties broken by ascending index; one order per
     # row when x is a block of points
@@ -436,15 +465,11 @@ def lovasz(oracle, x):
     out = np.empty(len(X))
     # exact at characteristic vectors: the chain sum telescopes to the set
     # value, so a binary row takes that one value without accumulating
-    # rounding; every other row sums its chain with one x.diff dot.  A
-    # single point skips the boolean indexing, which would dominate its cost
-    binary = ((X == 0.0) | (X == 1.0)).all(axis=1)
-    k = np.count_nonzero(binary)
-    if k:
-        B = X if k == len(X) else X[binary]
-        out[binary] = oracle.values(B.astype(np.int64) @ np.left_shift(1, np.arange(n)))
-    if k < len(X):
-        R = X if k == 0 else X[~binary]
+    # rounding; every other row sums its chain with one x.diff dot
+    binary, B, R = _split_binary(X)
+    if B is not None:
+        out[binary] = oracle.values(_masks_of(B))
+    if R is not None:
         order = _chain_order(R)
         cv = _chain_values(oracle, order)
         xo = R[np.arange(len(R))[:, None], order]
@@ -459,10 +484,37 @@ def lovasz_subgradient(oracle, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != oracle.n:
         raise GroundSetError("point has wrong dimension")
-    order = _chain_order(x)
-    s = np.empty_like(x)
+    X = x.reshape(-1, oracle.n)
+    s = np.empty_like(X)
+    binary, B, R = _split_binary(X)
+    if B is not None:
+        s[binary] = _set_subgradients(oracle, B)
+    if R is not None:
+        s[~binary] = _chain_subgradients(oracle, R)
+    return s.reshape(x.shape)
+
+
+def _chain_subgradients(oracle, R):
+    """The subgradient at each row of R: the differences of the values
+    along its chain, each put at the element that enters."""
+    order = _chain_order(R)
+    s = np.empty_like(R)
     np.put_along_axis(s, order, np.diff(_chain_values(oracle, order), axis=-1), axis=-1)
     return s
+
+
+def _set_subgradients(oracle, B):
+    """The chain subgradients at the characteristic vectors B, without
+    sorting.  The chain takes the set's elements, then the others, each
+    ascending, so element i enters after lo: the set's elements below i
+    when i is in the set, else the set and every element below i; and
+    s_i = f(lo + i) - f(lo), the same difference of the same two values.
+    A row reads 2n values, where its chain has n + 1."""
+    bit = np.left_shift(1, np.arange(B.shape[-1]))
+    a = _masks_of(B)[:, None]
+    lo = a | (bit - 1)
+    np.copyto(lo, a & (bit - 1), where=B == 1.0)
+    return oracle.values(lo | bit) - oracle.values(lo)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dsprism.geometry import barycentric, bisect, initial_simplex
 from dsprism.setfn import (as_table, brute_force_ds_min, indicator, lovasz,
                            lovasz_subgradient, mask_of)
 from dsprism.solver import solve
+from helpers import contains, equivalence_check, t_interval
 
 
 def _report(num, name, ok, detail=""):
@@ -118,7 +119,7 @@ def test_criterion_3_bound_problem_invariants(instrumented_runs):
             inside = np.min(lam, axis=1) >= -MEMBERSHIP_TOL
             any_feasible = False
             for m in np.nonzero(inside)[0]:
-                iv = P.t_interval(grid[m], tol=feas_tol)
+                iv = t_interval(P, grid[m], tol=feas_tol)
                 if iv is not None and iv[0] <= iv[1] + feas_tol:
                     any_feasible = True
                     break
@@ -134,7 +135,6 @@ def test_criterion_3_bound_problem_invariants(instrumented_runs):
                     if abs((shifted - lovasz(gt, v)) - (levels.mu - res.c_star)) > 1e-9:
                         level_ok = False
     # objective equivalence with the hyperplane form on 50 sampled nodes
-    from dsprism.bound import equivalence_check
     step = max(1, len(solved_nodes) // 50)
     sampled = solved_nodes[::step][:50]
     for S, P, levels, res, gt in sampled:
@@ -257,7 +257,7 @@ def test_criterion_7_geometry():
         for v_mask in range(1 << n):
             S = initial_simplex(n, v_mask)
             for m in range(1 << n):
-                if not S.contains(indicator(m, n), tol=1e-9):
+                if not contains(S, indicator(m, n), tol=1e-9):
                     contain_ok = False
     _report(7, "bisection preserves volume; initial simplex covers cube",
             split_ok and contain_ok,

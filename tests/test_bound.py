@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from dsprism import setfn
-from dsprism.bound import (INFEASIBLE, SOLVED, binary_points, equivalence_check,
-                           solve_bound, vertex_levels)
-from dsprism.geometry import (Polyhedron, Simplex, add_cut, bisect, initial_simplex,
-                              subdivide)
+from dsprism.bound import INFEASIBLE, SOLVED, binary_points, solve_bound, vertex_levels
+from dsprism.geometry import (MEMBERSHIP_TOL, Polyhedron, Simplex, add_cut, barycentric,
+                              bisect, initial_simplex, subdivide)
 from dsprism.setfn import indicator, lovasz, lovasz_subgradient
+from helpers import equivalence_check
 
 
 def worked_instance():
@@ -167,3 +167,38 @@ def test_solve_bound_on_grown_polyhedron_matches_fresh():
         for T in (S, sub):
             assert_same_bound(solve_bound(T, Q, levels[T], g),
                               solve_bound(T, fresh_copy(Q), levels[T], g))
+
+
+def test_solve_bound_matches_row_wise_reference_bitwise():
+    # membership by np.min along rows and the objective over the gathered
+    # rows, on a polyhedron grown by cuts and on simplices down a search
+    rng = np.random.default_rng(4)
+    for n in (3, 6, 9):
+        f = setfn.table(n, rng.normal(size=1 << n))
+        g = setfn.table(n, rng.normal(size=1 << n))
+        P = Polyhedron(initial_simplex(n), t_tilde=-5.0)
+        for masks in np.array_split(rng.permutation(1 << n)[:(1 << n) // 2], 4):
+            X = binary_points(n)[masks]
+            s = lovasz_subgradient(f, X)
+            P = add_cut(P, (s, -np.ones(len(masks)), f.values(masks) - np.sum(s * X, axis=1)),
+                        masks)
+        simplices = [initial_simplex(n)]
+        for _ in range(12):
+            simplices += subdivide(simplices[int(rng.integers(len(simplices)))],
+                                   rng.uniform(0.0, 1.0, size=n))
+        for S in simplices:
+            levels = vertex_levels(S, float(rng.normal()), g)
+            res = solve_bound(S, P, levels, g)
+            lam = barycentric(S, binary_points(n))
+            masks = np.nonzero(np.min(lam, axis=1) >= -MEMBERSHIP_TOL)[0]
+            assert np.array_equal(res.feasible_points, masks)
+            if len(masks) == 0:
+                assert res.status == INFEASIBLE
+                continue
+            t_lo = P.t_lo[masks]
+            obj = lam[masks] @ levels.t - t_lo
+            j = int(np.argmax(obj))
+            beta = levels.mu if obj[j] <= 0.0 else levels.mu - float(obj[j])
+            beta = max(beta, float(np.min(t_lo - g.values(masks))))
+            assert res.c_star == float(obj[j]) and res.witness_mask == int(masks[j])
+            assert res.beta == beta and res.feasible_t_lo.tobytes() == t_lo.tobytes()

@@ -164,3 +164,13 @@ def test_bad_argument_exits_with_message(argv, reason, tmp_path, capsys, monkeyp
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_fractional_edge_endpoint_is_not_loaded(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "f": {"type": "cut", "edges": [[0.5, 1.7, 1.0]]},
+                                "g": {"type": "modular", "weights": [0.0, 0.0, 0.0]}}))
+    assert main(["solve", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dsprism: cannot load instance %s: " % path)
+    assert "endpoints must be integers" in err

@@ -6,10 +6,10 @@ import pytest
 from dsprism import geometry, setfn
 from dsprism.geometry import (CutPointError, DegenerateSimplexError, Polyhedron, Simplex,
                               add_cut, barycentric, binary_points, bisect,
-                              hyperplane_through, initial_simplex, longest_edge,
-                              radial_subdivide, subdivide)
+                              initial_simplex, longest_edge, radial_subdivide, subdivide)
 from dsprism.setfn import indicator
 from dsprism.solver import cutting_plane
+from helpers import contains, hyperplane_through, t_interval
 
 
 def random_simplex(n, rng):
@@ -37,7 +37,7 @@ def test_barycentric_roundtrip():
             x = lam @ S.vertices
             got = barycentric(S, x)
             assert np.allclose(got, lam, atol=1e-9)
-            assert S.contains(x)
+            assert contains(S, x)
 
 
 def test_barycentric_many_matches_single():
@@ -66,7 +66,7 @@ def test_initial_simplex_contains_cube():
         for v_mask in range(1 << n):
             S = initial_simplex(n, v_mask)
             for m in range(1 << n):
-                assert S.contains(indicator(m, n), tol=1e-9)
+                assert contains(S, indicator(m, n), tol=1e-9)
 
 
 def test_longest_edge_lexicographic_tie_break():
@@ -174,9 +174,9 @@ def test_polyhedron_t_interval():
     # domain [0, 1] as a 1-simplex, floor t >= 0, cut t >= x0 - 0.25
     S = Simplex(np.array([[0.0], [1.0]]))
     P = add_cut(Polyhedron(S, t_tilde=0.0), (np.array([1.0]), -1.0, -0.25))
-    assert P.t_interval(np.array([0.5])) == (pytest.approx(0.25), np.inf)
-    assert P.t_interval(np.array([0.1])) == (0.0, np.inf)  # the floor binds
-    assert P.t_interval(np.array([2.0])) is None
+    assert t_interval(P, np.array([0.5])) == (pytest.approx(0.25), np.inf)
+    assert t_interval(P, np.array([0.1])) == (0.0, np.inf)  # the floor binds
+    assert t_interval(P, np.array([2.0])) is None
 
 
 def test_initial_polyhedron_matches_simplex_membership():
@@ -186,8 +186,8 @@ def test_initial_polyhedron_matches_simplex_membership():
     P = Polyhedron(S, t_tilde=-1.0)
     for _ in range(50):
         x = rng.uniform(-0.5, 1.5, size=n)
-        iv = P.t_interval(x, tol=1e-9)
-        assert (iv is not None) == S.contains(x, tol=1e-9)
+        iv = t_interval(P, x, tol=1e-9)
+        assert (iv is not None) == contains(S, x, tol=1e-9)
         if iv is not None:
             assert iv[0] == pytest.approx(-1.0)
 
@@ -272,7 +272,7 @@ def test_binary_bounds_match_t_interval():
     P = add_cut(P, random_cuts(n, 6, rng))
     t_lo = P.t_lo
     for m, x in enumerate(binary_points(n)):
-        assert P.t_interval(x) == (pytest.approx(t_lo[m], abs=1e-12), np.inf)
+        assert t_interval(P, x) == (pytest.approx(t_lo[m], abs=1e-12), np.inf)
     with pytest.raises(ValueError):
         t_lo[0] = 0.0  # the array is read-only
 
@@ -335,3 +335,21 @@ def test_add_cut_rejects_invalid_cut_points(masks, match, monkeypatch):
     with pytest.raises(CutPointError, match=match):
         add_cut(P, random_cuts(4, 2, np.random.default_rng(11)), masks)
     assert folds == [] and P.num_rows == 1
+
+
+def test_initial_simplex_inverse_in_closed_form():
+    # against the factorization of its vertices, bitwise: every anchor up to
+    # n = 6, the anchors 0 and 2^n - 1 and sampled ones up to n = 24
+    rng = np.random.default_rng(13)
+    for n in range(1, 25):
+        anchors = (range(1 << n) if n <= 6
+                   else rng.integers(0, 1 << n, size=3).tolist() + [0, (1 << n) - 1])
+        for a in anchors:
+            S = initial_simplex(n, a)
+            apex = indicator(a, n)
+            sigma = np.where(apex == 1.0, -1.0, 1.0)
+            assert np.array_equal(S.vertices,
+                                  np.array([apex] + [apex + n * sigma[i] * np.eye(n)[i]
+                                                     for i in range(n)]))
+            assert S._minv.tobytes() == Simplex(S.vertices)._minv.tobytes()
+            assert not S.vertices.flags.writeable and not S._minv.flags.writeable

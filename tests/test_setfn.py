@@ -510,3 +510,69 @@ def test_cardinality_concave_spec_round_trip():
     for g in (make_function(f.spec), make_function(f.spec, n=3),
               make_function(dict(f.spec, n=3))):
         assert g.n == 3 and [g(m) for m in range(8)] == [f(m) for m in range(8)]
+
+
+# ---------------------------------------------------------------------------
+# Subgradients at characteristic vectors, and the scalar call
+
+
+def chain_subgradient(oracle, X):
+    """The argsort chain: sort each row by descending value (ties by
+    ascending index) and difference the values along the prefix chain."""
+    order = np.argsort(-X, axis=-1, kind="stable")
+    chain = np.zeros(X.shape[:-1] + (X.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(np.left_shift(1, order), axis=-1, out=chain[..., 1:])
+    s = np.empty_like(X)
+    np.put_along_axis(s, order, np.diff(oracle.values(chain), axis=-1), axis=-1)
+    return s
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 12, 13])
+def test_subgradient_at_sets_equals_the_argsort_chain_bitwise(n):
+    rng = np.random.default_rng(n)
+    closure = setfn.cut(n, [(int(rng.integers(n)), int(rng.integers(n)),
+                             float(rng.uniform(0.0, 2.0))) for _ in range(2 * n)])
+    grid = np.array([(m >> np.arange(n)) & 1 for m in range(1 << n)], dtype=float)
+    for oracle, rows in ((setfn.table(n, rng.normal(size=1 << n)), grid),
+                         (closure, grid[rng.choice(1 << n, size=min(1 << n, 150),
+                                                   replace=False)])):
+        mixed = rows.copy()
+        mixed[::3] = rng.random((len(mixed[::3]), n))  # every third row not binary
+        mixed[1::7] = np.round(mixed[1::7] * 4.0) / 4.0  # ties, 0.0 and 1.0 among others
+        for X in (rows, mixed, rows[-1], mixed[0]):
+            got = lovasz_subgradient(oracle, X)
+            assert got.shape == X.shape
+            assert got.tobytes() == chain_subgradient(oracle, X).tobytes()
+
+
+def test_call_passes_an_int_and_returns_a_float():
+    seen = []
+
+    def fn(mask):
+        seen.append(type(mask))
+        return np.float64(mask) if mask & 1 else int(mask)
+
+    f = setfn.SetFunction(3, fn)
+    for mask in (np.int64(5), 5, np.int64(2), 2):
+        value = f(mask)
+        assert type(value) is float and value == int(mask)
+    assert seen == [int] * 4
+    phi = setfn.cardinality_concave(3, [0.0, 1.0, 1.5, 1.75])
+    assert phi(np.int64(7)) == 1.75 and type(phi(np.int64(7))) is float
+    assert type(f.values(np.array([1, 2]))[0]) is np.float64
+
+
+def test_cut_rejects_fractional_endpoints():
+    with pytest.raises(ValueError, match=r"edges\[1\] is \[0\.5, 1\.7, 1\.0\]"):
+        setfn.cut(3, [(0, 1, 1.0), (0.5, 1.7, 1.0)])
+    c = setfn.cut(3, [(0.0, 2.0, 1.0)])  # integral floats stay accepted
+    assert c.spec["edges"] == [[0, 2, 1.0]] and c(0b001) == 1.0
+
+
+def test_coverage_rejects_fractional_items():
+    with pytest.raises(ValueError, match=r"covers\[0\] holds item 0\.9"):
+        setfn.coverage(2, [1.0, 2.0], [[0.9], [1.2]])
+    with pytest.raises(ValueError, match=r"covers\[1\] holds item 1\.2"):
+        setfn.coverage(2, [1.0, 2.0], [[1.0], [1.2]])
+    f = setfn.coverage(2, [1.0, 2.0], [[1.0], [0]])  # integral floats stay accepted
+    assert f.spec["covers"] == [[1], [0]] and f(0b01) == 2.0
