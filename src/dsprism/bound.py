@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import MEMBERSHIP_TOL, barycentric, binary_points
-from .setfn import lovasz
 
 
 @dataclass(frozen=True)
@@ -45,12 +44,13 @@ class BoundResult:
     feasible_t_lo: np.ndarray = None  # per feasible point, lowest t in P
 
 
-def vertex_levels(S, mu, g):
-    """Levels t_i = ghat(v_i) + mu at the simplex vertices.
+def vertex_levels(ghat, mu):
+    """Levels t_i = ghat(v_i) + mu from ghat, the Lovasz extension of g at
+    the simplex vertices (``lovasz(g, S.vertices)``, one value per row).
 
     The bound is valid for any mu; the solver passes the incumbent value.
     """
-    return VertexLevels(t=lovasz(g, S.vertices) + mu, mu=float(mu))
+    return VertexLevels(t=ghat + mu, mu=float(mu))
 
 
 def solve_bound(S, P, levels, g):

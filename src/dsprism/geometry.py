@@ -19,6 +19,8 @@ from .setfn import indicator
 DEGENERACY_TOL = 1e-12
 # x lies in a simplex when every barycentric coordinate is >= -MEMBERSHIP_TOL
 MEMBERSHIP_TOL = 1e-12
+# radial subdivision replaces the vertices whose barycentric weight exceeds this
+RADIAL_TOL = 1e-10
 
 
 class DegenerateSimplexError(ValueError):
@@ -151,20 +153,24 @@ def radial_subdivide(S, r, lam):
     """Partition S by joining the point r, with barycentric coordinates lam
     and not a vertex of S, to the opposite facets.
 
-    Replaces each vertex carrying barycentric weight > 1e-10 by r; the
+    Replaces each vertex carrying barycentric weight > RADIAL_TOL by r; the
     resulting simplices cover S and overlap only on boundaries.
     """
-    return [S.replace_vertex(int(i), r, lam) for i in np.nonzero(lam > 1e-10)[0]]
+    return [S.replace_vertex(int(i), r, lam) for i in np.nonzero(lam > RADIAL_TOL)[0]]
 
 
 def subdivide(S, r):
     """Split S at its point r: the radial subdivision at r, whose children
     all have r as a vertex, or the longest-edge bisection of S when r
-    already is a vertex (a barycentric weight >= 1 - 1e-9)."""
+    already is a vertex (a barycentric weight >= 1 - 1e-9).
+
+    Returns the children as (i, C) pairs: C is S with its vertex i replaced
+    by the split point (r, or the midpoint of the longest edge), so C
+    shares every other vertex with S."""
     lam = barycentric(S, r)
     if np.max(lam) >= 1.0 - 1e-9:
-        return bisect(S)
-    return radial_subdivide(S, r, lam)
+        return list(zip(longest_edge(S), bisect(S)))
+    return list(zip(np.nonzero(lam > RADIAL_TOL)[0].tolist(), radial_subdivide(S, r, lam)))
 
 
 # n -> (binary_points(n), the same rows with a column of ones appended)

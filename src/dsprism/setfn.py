@@ -48,7 +48,9 @@ class SetFunction:
     ``fn`` maps a bitmask to a float; ``kernel`` maps a 1-d integer array of
     masks to their values at once.  Give either or both: without ``fn`` a
     point is the kernel on a one-mask array, without ``kernel`` a block is
-    one ``fn`` call per mask.  ``spec`` keeps the constructor parameters
+    one ``fn`` call per mask.  ``__call__`` is the scalar API only: block
+    evaluation (``values``) calls the kernel or ``fn`` directly, never
+    ``__call__``, on either path.  ``spec`` keeps the constructor parameters
     for JSON round-trips; ``submodular`` records the direction claimed by
     the constructor (None when unknown).
     """
@@ -81,16 +83,21 @@ class SetFunction:
         return value if type(value) is float else float(value)
 
     def values(self, masks):
-        """Values at an integer array of masks, same shape: one kernel call,
-        or one oracle call per mask when there is no kernel."""
+        """Values at an integer array of masks, same shape, as floats: one
+        kernel call, or one ``fn`` call per mask when there is no kernel.
+        Every mask is range-checked before any is evaluated."""
         masks = np.asarray(masks)
-        if self._kernel is None:  # each call rejects a mask outside
-            return np.fromiter(map(self, masks.ravel().tolist()), dtype=float,
-                               count=masks.size).reshape(masks.shape)
+        if masks.size == 0:
+            return np.empty(masks.shape)
+        if masks.dtype.kind not in "iu":
+            raise GroundSetError("masks must be integers, got an array of %s" % masks.dtype)
         outside = masks >> self.n  # nonzero for a negative mask or one >= 2^n
         if outside.any():
             raise GroundSetError("mask %d outside ground set of size %d"
                                  % (masks[outside != 0][0], self.n))
+        if self._kernel is None:
+            return np.fromiter(map(self._fn, masks.ravel().tolist()), dtype=float,
+                               count=masks.size).reshape(masks.shape)
         return self._kernel(masks.ravel()).reshape(masks.shape)
 
     def __repr__(self):

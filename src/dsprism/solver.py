@@ -32,13 +32,18 @@ class SolverConfig:
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise ValueError("eps must be finite and nonnegative, got %r" % (self.eps,))
         for name in ("max_iters", "max_nodes"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be nonnegative, got %r" % (name, getattr(self, name)))
+            limit = getattr(self, name)
+            # a bool is an int to Python, and NaN or a fraction never fires
+            if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
+                raise ValueError("%s must be an integer, got %r" % (name, limit))
+            if limit < 0:
+                raise ValueError("%s must be nonnegative, got %r" % (name, limit))
 
 
 @dataclass
 class Node:
     simplex: Simplex  # base of the node's prism
+    ghat: np.ndarray  # Lovasz extension of g at the simplex vertices
     bound: object  # BoundResult
     rows_seen: int  # P row count the stored bound was computed against
 
@@ -160,12 +165,13 @@ def solve(f, g, config=None, observer=None):
         _emit(observer, "delete", node_id=nid, reason=reason, simplex=S,
               bound_value=beta, alpha=inc_val)
 
-    def bound_region(nid, S, beta, new):
-        """Bound region nid (simplex S, stored bound beta) against the current
-        P and feed its binary points to the incumbent; a new region reports
-        a node_bound event.  Closes the region when a deletion rule applies.
-        Returns (bound result, tightened beta, deletion reason or None)."""
-        levels = vertex_levels(S, inc_val, gt)
+    def bound_region(nid, S, ghat, beta, new):
+        """Bound region nid (simplex S, ghat at its vertices, stored bound
+        beta) against the current P and feed its binary points to the
+        incumbent; a new region reports a node_bound event.  Closes the
+        region when a deletion rule applies.  Returns (bound result,
+        tightened beta, deletion reason or None)."""
+        levels = vertex_levels(ghat, inc_val)
         res = solve_bound(S, P, levels, gt)
         update_incumbent(res.feasible_points)
         if new:
@@ -177,19 +183,23 @@ def solve(f, g, config=None, observer=None):
             close(nid, reason, S, beta)
         return res, beta, reason
 
-    def bound_child(S, parent_beta):
+    def bound_child(S, ghat, parent_beta):
         """Bound a new region and open it unless a deletion rule closes it
         (with its certified bound in closed_bounds); returns its trace entry."""
         nonlocal nodes_created
         nid = nodes_created
         nodes_created += 1
-        res, beta, reason = bound_region(nid, S, parent_beta, new=True)
+        res, beta, reason = bound_region(nid, S, ghat, parent_beta, new=True)
         if reason is None:
-            heapq.heappush(heap, (beta, nid, Node(simplex=S, bound=res, rows_seen=P.num_rows)))
+            heapq.heappush(heap, (beta, nid, Node(simplex=S, ghat=ghat, bound=res,
+                                                  rows_seen=P.num_rows)))
         return {"id": nid, "status": res.status, "c_star": res.c_star,
                 "beta": None if reason == "dr1" else beta, "deleted_by": reason}
 
-    root_entry = bound_child(S0, -np.inf)
+    # ghat in full at S0's vertices only: a child shares all but one vertex
+    # with its parent, and lovasz values each row on its own, so the
+    # child's ghat is its parent's with the replaced vertex re-evaluated
+    root_entry = bound_child(S0, lovasz(gt, S0.vertices), -np.inf)
     trace = [{"iter": -1, "node_id": root_entry["id"], "beta": root_entry["beta"],
               "alpha": inc_val, "action": "root", "children": [root_entry],
               "cuts_total": cuts_added}]
@@ -213,7 +223,7 @@ def solve(f, g, config=None, observer=None):
             close(nid, "bound", S, beta)
             continue
         if P.num_rows > node.rows_seen:
-            node.bound, new_beta, reason = bound_region(nid, S, beta, new=False)
+            node.bound, new_beta, reason = bound_region(nid, S, node.ghat, beta, new=False)
             node.rows_seen = P.num_rows
             if reason is not None:
                 continue
@@ -247,8 +257,16 @@ def solve(f, g, config=None, observer=None):
         # together with the cut this caps its bound contribution at
         # mu - (f-g)(x*) <= 0, so each binary point is selected at most once
         # per branch and termination is finite (a witness that already is a
-        # vertex gets longest-edge bisection)
-        children = [bound_child(C, beta) for C in subdivide(S, res.witness_x)]
+        # vertex gets longest-edge bisection); the split point is the one
+        # new vertex, so ghat is evaluated there once for all children
+        split = subdivide(S, res.witness_x)
+        i, C = split[0]
+        g_split = lovasz(gt, C.vertices[i])
+        children = []
+        for i, C in split:
+            ghat = node.ghat.copy()
+            ghat[i] = g_split
+            children.append(bound_child(C, ghat, beta))
         trace.append({"iter": iteration, "node_id": nid, "beta": beta,
                       "alpha": inc_val, "action": "cut" if len(masks) else "nocut",
                       "children": children, "cuts_total": cuts_added})

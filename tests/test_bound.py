@@ -20,6 +20,11 @@ def worked_instance():
     return f, g, S, P
 
 
+def levels_at(S, mu, g):
+    """The levels at S's vertices, ghat in full at every vertex."""
+    return vertex_levels(lovasz(g, S.vertices), mu)
+
+
 def test_binary_points_grid():
     grid = binary_points(3)
     assert grid.shape == (8, 3)
@@ -28,7 +33,7 @@ def test_binary_points_grid():
 
 def test_vertex_levels_worked_example():
     f, g, S, P = worked_instance()
-    levels = vertex_levels(S, -1.0, g)
+    levels = levels_at(S, -1.0, g)
     assert levels.mu == -1.0
     assert np.allclose(levels.t, [-1.0, 1.0])  # ghat(v) + mu
 
@@ -38,14 +43,14 @@ def test_vertex_levels_match_per_vertex_lovasz():
     n = 4
     g = setfn.table(n, rng.normal(size=1 << n))
     S0 = initial_simplex(n, 5)  # a binary apex and n vertices off the cube
-    for S in (S0, *bisect(S0), subdivide(S0, np.full(n, 0.5))[0]):
-        levels = vertex_levels(S, -0.25, g)
+    for S in (S0, *bisect(S0), subdivide(S0, np.full(n, 0.5))[0][1]):
+        levels = levels_at(S, -0.25, g)
         assert np.array_equal(levels.t, [lovasz(g, v) - 0.25 for v in S.vertices])
 
 
 def test_solve_bound_worked_example():
     f, g, S, P = worked_instance()
-    levels = vertex_levels(S, -1.0, g)
+    levels = levels_at(S, -1.0, g)
     res = solve_bound(S, P, levels, g)
     assert res.status == SOLVED
     assert res.c_star == pytest.approx(1.0)
@@ -63,7 +68,7 @@ def test_solve_bound_after_cut_closes():
     # the cut x - t <= 0 lifts t_lo(1) to f(1); c* drops to 0
     f, g, S, P = worked_instance()
     P = add_cut(P, (np.array([1.0]), -1.0, 0.0))
-    levels = vertex_levels(S, -1.0, g)
+    levels = levels_at(S, -1.0, g)
     res = solve_bound(S, P, levels, g)
     assert res.c_star == pytest.approx(0.0)
     assert res.beta == pytest.approx(-1.0)
@@ -76,7 +81,7 @@ def test_bound_monotone_in_polyhedron():
     g = setfn.as_table(setfn.modular(rng.normal(size=n)))
     S = initial_simplex(n)
     P = Polyhedron(S, t_tilde=0.0)
-    levels = vertex_levels(S, 0.0, g)
+    levels = levels_at(S, 0.0, g)
     prev = solve_bound(S, P, levels, g).beta
     for mask in (1, 3, 5):
         x = indicator(mask, n)
@@ -91,7 +96,7 @@ def test_infeasible_when_no_binary_point():
     g = setfn.table(2, [0.0, 0.5, 0.5, 1.0])
     S = Simplex(np.array([[0.2, 0.2], [0.4, 0.2], [0.2, 0.4]]))
     P = Polyhedron(initial_simplex(2), t_tilde=0.0)
-    levels = vertex_levels(S, 0.0, g)
+    levels = levels_at(S, 0.0, g)
     res = solve_bound(S, P, levels, g)
     assert res.status == INFEASIBLE
     assert res.beta == np.inf
@@ -103,7 +108,7 @@ def test_smallest_mask_wins_objective_ties():
     g = setfn.table(2, [0.0, 2.0, 2.0, 4.0])
     S = Simplex(np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]]))
     P = Polyhedron(initial_simplex(2), t_tilde=0.0)
-    levels = vertex_levels(S, -1.0, g)
+    levels = levels_at(S, -1.0, g)
     res = solve_bound(S, P, levels, g)
     assert res.c_star == pytest.approx(1.0)
     assert res.witness_mask == 1
@@ -117,13 +122,13 @@ def test_equivalence_of_bilp_and_hyperplane_forms():
         g = setfn.table(n, vals_g)
         S = initial_simplex(n)
         P = Polyhedron(S, t_tilde=float(np.min(vals_f)))
-        levels = vertex_levels(S, 0.0, g)
+        levels = levels_at(S, 0.0, g)
         assert equivalence_check(S, P, levels)
 
 
 def test_determinism():
     f, g, S, P = worked_instance()
-    levels = vertex_levels(S, -1.0, g)
+    levels = levels_at(S, -1.0, g)
     a = solve_bound(S, P, levels, g)
     b = solve_bound(S, P, levels, g)
     assert a.beta == b.beta and a.c_star == b.c_star
@@ -152,7 +157,7 @@ def test_solve_bound_on_grown_polyhedron_matches_fresh():
     g = setfn.as_table(setfn.modular(rng.normal(size=n)))
     S = initial_simplex(n)
     sub = Simplex(np.array([[0.0] * n] + [list(2.0 * np.eye(n)[i]) for i in range(n)]))
-    levels = {T: vertex_levels(T, 0.0, g) for T in (S, sub)}
+    levels = {T: levels_at(T, 0.0, g) for T in (S, sub)}
     P = Polyhedron(S, t_tilde=-3.0)
     grown = [P]
     for mask in (3, 5, 6, 9, 12, 15):
@@ -184,10 +189,10 @@ def test_solve_bound_matches_row_wise_reference_bitwise():
                         masks)
         simplices = [initial_simplex(n)]
         for _ in range(12):
-            simplices += subdivide(simplices[int(rng.integers(len(simplices)))],
-                                   rng.uniform(0.0, 1.0, size=n))
+            simplices += [C for _, C in subdivide(simplices[int(rng.integers(len(simplices)))],
+                                                  rng.uniform(0.0, 1.0, size=n))]
         for S in simplices:
-            levels = vertex_levels(S, float(rng.normal()), g)
+            levels = levels_at(S, float(rng.normal()), g)
             res = solve_bound(S, P, levels, g)
             lam = barycentric(S, binary_points(n))
             masks = np.nonzero(np.min(lam, axis=1) >= -MEMBERSHIP_TOL)[0]

@@ -137,13 +137,25 @@ def _same_simplices(A, B):
         for a, b in zip(A, B))
 
 
+def assert_replaced(S, split, r):
+    """Each (i, C) of a subdivision of S is S with vertex i replaced by r."""
+    for i, C in split:
+        V = S.vertices.copy()
+        V[i] = r
+        assert np.array_equal(C.vertices, V)
+
+
 def test_subdivide_bisects_at_a_vertex_and_splits_radially_elsewhere():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 5):
         for S in (random_simplex(n, rng), initial_simplex(n, 1)):
             # at every vertex: exactly the longest-edge bisection
             for v in S.vertices:
-                assert _same_simplices(subdivide(S, v), bisect(S))
+                split = subdivide(S, v)
+                assert _same_simplices([C for _, C in split], bisect(S))
+                assert [i for i, _ in split] == list(longest_edge(S))
+                assert_replaced(S, split, 0.5 * (S.vertices[split[0][0]]
+                                                 + S.vertices[split[1][0]]))
             # elsewhere in S, on a face or inside: radial children, each with
             # r as a vertex, covering S
             for _ in range(5):
@@ -153,7 +165,9 @@ def test_subdivide_bisects_at_a_vertex_and_splits_radially_elsewhere():
                     continue
                 lam /= lam.sum()
                 r = lam @ S.vertices
-                parts = subdivide(S, r)
+                split = subdivide(S, r)
+                assert_replaced(S, split, r)
+                parts = [C for _, C in split]
                 assert len(parts) == np.count_nonzero(lam)
                 assert not _same_simplices(parts, bisect(S))
                 for p in parts:

@@ -12,12 +12,18 @@ from dsprism.experiments import gen_random_ds
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 try:
     import tracing
+    import workloads
 finally:
     sys.path.pop(0)
 
 
 def test_tracer_and_bound_probe_wrap_one_solve():
+    # through the benchmark's counting wrappers, as its workloads solve: a
+    # block of a kernel-less oracle calls fn directly, and the wrapper's fn
+    # calls the inner oracle's __call__
     inst = gen_random_ds(4, "cut_minus_modular", 0)
+    tally = [0]
+    f, g = workloads.counted(inst.f, tally), workloads.counted(inst.g, tally)
     oracle_call = setfn.SetFunction.__call__
     tracer, probe = tracing.Tracer(), tracing.BoundProbe()
     bounds, inside = [], []
@@ -32,7 +38,7 @@ def test_tracer_and_bound_probe_wrap_one_solve():
     try:
         probe.install()
         try:
-            rep = solver.solve(inst.f, inst.g, observer=observer)
+            rep = solver.solve(f, g, observer=observer)
         finally:
             probe.uninstall()
     finally:
@@ -42,6 +48,7 @@ def test_tracer_and_bound_probe_wrap_one_solve():
     spanned = {tracer.names[i] for i in set(nid.tolist())}
     assert {"solver.solve", "setfn.as_table", "setfn.oracle", "bound.solve_bound",
             "bound.vertex_levels", "geometry.add_cut", "solver.cutting_plane"} <= spanned
+    assert list(nid).count(tracer.names.index("setfn.oracle")) == tally[0] == 2 << inst.n
     feasible, cells = probe.take()
     assert feasible > 0 and cells >= feasible
     # every bound call of this solve reports a node_bound event (none is a

@@ -398,9 +398,47 @@ def test_values_is_one_lookup_or_one_call_per_mask():
 @pytest.mark.parametrize("mask", [-1, 16])
 def test_values_rejects_masks_outside_ground_set(mask):
     f = setfn.cut(4, [(0, 2, 1.0), (1, 3, 2.0)])
-    for oracle in (f, as_table(f)):
+    calls = []
+    counted = setfn.SetFunction(4, lambda m: calls.append(m) or f(m))
+    for oracle in (f, as_table(f), counted):
         with pytest.raises(GroundSetError, match="mask %d outside" % mask):
             oracle.values(np.array([3, mask]))
+    assert calls == []  # every mask is checked before fn sees any
+
+
+def test_values_of_no_masks_is_an_empty_float_array():
+    f = setfn.cut(4, [(0, 2, 1.0), (1, 3, 2.0)])
+    oracles = (f, as_table(f), setfn.modular([1.0, -2.0]), setfn.nuclear(np.eye(3)))
+    for oracle in oracles:
+        for masks in ([], np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)):
+            got = oracle.values(masks)
+            assert got.dtype == np.float64 and got.shape == np.shape(masks)
+
+
+@pytest.mark.parametrize("masks", [[1.0], np.array([3.0, 1.5]), np.array([True, False]),
+                                   np.array(["1"])], ids=["float", "fraction", "bool", "str"])
+def test_values_rejects_masks_that_are_not_integers(masks):
+    f = setfn.cut(4, [(0, 2, 1.0), (1, 3, 2.0)])
+    for oracle in (f, as_table(f), setfn.nuclear(np.eye(4))):
+        with pytest.raises(GroundSetError, match="masks must be integers"):
+            oracle.values(masks)
+
+
+@pytest.mark.parametrize("kind", [float, int, np.float64])
+def test_kernel_less_values_are_the_float_of_fn_bitwise(kind):
+    rng = np.random.default_rng(12)
+    vals = rng.normal(scale=1e3, size=64).tolist()
+    vals[:3] = [2 ** 53 + 1, 10 ** 20 + 1, -0.0]  # ints that round, a signed zero
+
+    def fn(mask):
+        return kind(vals[mask])
+
+    f = setfn.SetFunction(6, fn)
+    masks = rng.integers(0, 64, size=(5, 7))
+    masks[0, :3] = [0, 1, 2]
+    want = np.array([float(fn(m)) for m in masks.ravel().tolist()]).reshape(masks.shape)
+    got = f.values(masks)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

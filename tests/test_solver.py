@@ -80,6 +80,14 @@ def test_config_rejects_negative_limits(field):
     assert getattr(SolverConfig(**{field: 0}), field) == 0
 
 
+@pytest.mark.parametrize("field", ["max_iters", "max_nodes"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, 3.0, True, False, "7", None])
+def test_config_rejects_limits_that_are_not_integers(field, bad):
+    with pytest.raises(ValueError, match="%s must be an integer, got %r" % (field, bad)):
+        SolverConfig(**{field: bad})
+    assert getattr(SolverConfig(**{field: np.int64(5)}), field) == 5
+
+
 @pytest.mark.parametrize("v", [8, 2**40, -1, 1.5])
 def test_solve_rejects_initial_vertex_outside_cube(v):
     f, g = setfn.cut(3, [(0, 1, 1.0)]), setfn.modular([0.5, -0.5, 0.25])
@@ -344,3 +352,30 @@ def test_cuts_are_folded_only_at_uncut_points(monkeypatch):
     rep = solve(inst.f, inst.g)
     assert rep.termination_reason == "optimal" and rep.cuts_added > (1 << n) // 2
     assert work[0] <= 64 * (1 << n)
+
+
+def test_node_levels_are_ghat_at_the_vertices_bitwise(monkeypatch):
+    # a child inherits ghat at the vertices it shares with its parent and
+    # evaluates only the split point; its levels equal ghat evaluated in full
+    # at every vertex, children of bisection included
+    bisections = []
+    bisect = geometry.bisect
+    monkeypatch.setattr(geometry, "bisect", lambda S: bisections.append(S) or bisect(S))
+    events = 0
+    for n in range(1, 7):
+        for family in FAMILIES:
+            for seed in range(3):
+                inst = gen_random_ds(n, family, seed)
+                for anchor in (0, (1 << n) - 1):
+                    levels = []
+
+                    def observer(event, data):
+                        if event == "node_bound":
+                            levels.append((data["simplex"], data["levels"]))
+
+                    solve(inst.f, inst.g, SolverConfig(initial_vertex=anchor), observer=observer)
+                    for S, lv in levels:
+                        want = lovasz(inst.g, S.vertices) + lv.mu
+                        assert lv.t.tobytes() == want.tobytes()
+                    events += len(levels)
+    assert bisections and events > 500

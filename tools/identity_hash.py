@@ -1,11 +1,11 @@
 """Fingerprint the solver's output over a fixed grid of corpus solves.
 
-    python3 tools/identity_hash.py [--src DIR]
+    python3 tools/identity_hash.py [--src DIR] [--max-n N]
 
-Solves every corpus instance for n = 1..10, the four families and seeds
-0..6, with max_iters at its default, 0 and 1, once anchored at the cube
-vertex 0 and once at 2^n - 1.  For each anchor it prints two SHA-256
-digests:
+Solves every corpus instance for n = 1..N (N = 10 by default, at most 10,
+the corpus generator's limit), the four families and seeds 0..6, with
+max_iters at its default, 0 and 1, once anchored at the cube vertex 0 and
+once at 2^n - 1.  For each anchor it prints two SHA-256 digests:
 
 - ``full``: every report's ``to_dict()`` without ``wall_time_ms``, and every
   observer event in the order it was emitted;
@@ -16,7 +16,8 @@ Arrays, and the arrays inside simplices, polyhedra and bound results, are
 hashed by dtype, shape and bytes, and floats by their bits, so two digests
 agree only when the runs agree bit for bit.  ``--src`` imports dsprism from
 another checkout's ``src`` directory (default: this checkout's), so the
-output of two checkouts can be compared line by line.
+output of two checkouts can be compared line by line.  A smaller
+``--max-n`` gives a quick check; its digests differ from the default's.
 """
 
 import argparse
@@ -27,7 +28,7 @@ import struct
 import sys
 from pathlib import Path
 
-GRID_N = range(1, 11)
+MAX_N = 10
 GRID_SEEDS = range(7)
 # None keeps SolverConfig's default
 GRID_MAX_ITERS = (None, 0, 1)
@@ -71,13 +72,14 @@ def feed(h, obj):
         raise TypeError("cannot hash %r" % type(obj))
 
 
-def digests():
-    """{anchor name: (full digest, answers digest)} over the grid."""
+def digests(max_n=MAX_N):
+    """{anchor name: (full digest, answers digest)} over the grid of
+    n = 1..max_n."""
     from dsprism.experiments import FAMILIES, gen_random_ds
     from dsprism.solver import SolverConfig, solve
 
     instances = [gen_random_ds(n, family, seed)
-                 for n in GRID_N for family in FAMILIES for seed in GRID_SEEDS]
+                 for n in range(1, max_n + 1) for family in FAMILIES for seed in GRID_SEEDS]
     out = {}
     for anchor in ("0", "2^n-1"):
         full, answers = hashlib.sha256(), hashlib.sha256()
@@ -103,12 +105,16 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                     help="directory that holds the dsprism package")
+    ap.add_argument("--max-n", type=int, default=MAX_N,
+                    help="largest ground set of the grid, 1..%d (default %d)" % (MAX_N, MAX_N))
     args = ap.parse_args(argv)
+    if not 1 <= args.max_n <= MAX_N:
+        ap.error("--max-n must lie in 1..%d, got %d" % (MAX_N, args.max_n))
     # one BLAS thread, as perfbench runs, before numpy is first imported
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.path.insert(0, args.src)
-    for anchor, (full, answers) in digests().items():
+    for anchor, (full, answers) in digests(args.max_n).items():
         print("anchor %-5s full %s" % (anchor, full))
         print("anchor %-5s answers %s" % (anchor, answers))
 
