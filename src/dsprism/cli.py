@@ -8,7 +8,7 @@ import sys
 from .baselines import greedy, ssp
 from .experiments import (CORPUS_MAX_N, FAMILIES, FsInstanceSpec, bench_to_csv,
                           load_instance, run_bench, verify_corpus)
-from .setfn import ENUM_CAP, set_of
+from .setfn import CHECK_CAP, set_of
 from .solver import SolverConfig, solve
 
 
@@ -85,8 +85,9 @@ def _cmd_bench(args):
     except ValueError:
         return _fail("--lambdas must be comma-separated finite nonnegative numbers, got %r"
                      % args.lambdas)
-    if args.p > ENUM_CAP:
-        return _fail("--p must be at most %d, got %d" % (ENUM_CAP, args.p))
+    if args.p > CHECK_CAP:
+        return _fail("--p must be at most %d, got %d: the prism solve repairs each pair "
+                     "through the exhaustive submodularity check" % (CHECK_CAP, args.p))
     try:
         FsInstanceSpec(p=args.p, n_samples=args.n, k=args.k, lam=1.0, seed=args.seed)
     except ValueError as exc:

@@ -11,6 +11,7 @@ import numpy as np
 from .numerics import least_squares, sym_eigs
 
 ENUM_CAP = 24
+CHECK_CAP = 12  # largest n the exhaustive four-point check accepts
 
 
 class GroundSetError(ValueError):
@@ -27,6 +28,8 @@ def mask_of(elements):
 
 def set_of(mask):
     """Sorted element indices of a bitmask."""
+    if mask < 0:
+        raise GroundSetError("mask %d is negative; a subset mask is nonnegative" % mask)
     out = []
     i = 0
     while mask:
@@ -551,7 +554,7 @@ def max_submodularity_violation(oracle):
     """Largest four-point violation max(f(AuB)+f(AnB)-f(A)-f(B)); <= 0 means
     submodular.  Exhaustive, so only for small n."""
     n = oracle.n
-    if n > 12:
+    if n > CHECK_CAP:
         raise GroundSetError("four-point check is exhaustive; n too large")
     B = np.arange(1 << n)
     vals = oracle.values(B)
@@ -587,6 +590,41 @@ def ds_decompose(f, g, slack=1e-9):
     return f2, g2, M
 
 
+def _max_second_difference(vals, n):
+    """Largest f(A+i+j) + f(A) - f(A+i) - f(A+j) over A and i < j outside A,
+    each summed as the four-point check sums its pair (A+i, A+j); -inf when
+    n < 2.  vals is the table by mask."""
+    cube = vals.reshape((2,) * n)  # axis n-1-i holds bit i
+    best = -np.inf
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = np.moveaxis(cube, (n - 1 - i, n - 1 - j), (0, 1))  # c[1, 0]: A+i
+            best = max(best, float(np.max(c[1, 1] + c[0, 0] - c[1, 0] - c[0, 1])))
+    return best
+
+
 def is_submodular(oracle, tol=1e-9):
-    """Exhaustive four-point check; only sensible for small n."""
+    """max_submodularity_violation(oracle) <= tol, decided where it can be
+    from one tabulation and the n(n-1)/2 * 2^(n-2) local second differences,
+    where the four-point check takes 4^n values (Bach 2013, ch. 2).
+
+    Each second difference is the four-point value of a pair (A+i, A+j), so
+    a largest one d > tol answers False.  A four-point difference telescopes
+    into |A - B| * |B - A| <= floor(n/2) * ceil(n/2) second differences, so
+    that many times max(d, 0), plus 8 ulps of max|f| per term for rounding,
+    at most tol answers True.  Otherwise (tol within rounding of 0, d <= tol
+    but that many times d above it, or a table too large or not finite) the
+    four-point check answers.  n <= CHECK_CAP, as for that check."""
+    n = oracle.n
+    if n > CHECK_CAP:
+        raise GroundSetError("four-point check is exhaustive; n too large")
+    vals = oracle.values(np.arange(1 << n))
+    scale = float(np.max(np.abs(vals)))
+    if 8.0 * scale <= np.finfo(float).max:  # finite, and no sum overflows
+        d = _max_second_difference(vals, n)
+        if d > tol:
+            return False
+        terms = (n // 2) * ((n + 1) // 2)
+        if terms * max(d, 0.0) + 8.0 * np.finfo(float).eps * scale * (terms + 1) <= tol:
+            return True
     return max_submodularity_violation(oracle) <= tol

@@ -138,8 +138,11 @@ def test_instance_ground_sets_must_match_n(f, g, reason, tmp_path, capsys):
                  id="bench_infinite_lambda"),
     pytest.param(["bench", "--p", "0"], "invalid feature-selection spec: need 0 < k <= p",
                  id="bench_p_zero"),
-    pytest.param(["bench", "--p", "25"], "--p must be at most 24, got 25",
+    pytest.param(["bench", "--p", "25"], "--p must be at most 12, got 25",
                  id="bench_p_above_enum_cap"),
+    pytest.param(["bench", "--p", "13"], "--p must be at most 12, got 13: the prism solve "
+                 "repairs each pair through the exhaustive submodularity check",
+                 id="bench_p_above_check_cap"),
     pytest.param(["bench", "--k", "20"], "invalid feature-selection spec: need 0 < k <= p",
                  id="bench_k_above_p"),
     pytest.param(["bench", "--n", "0"], "invalid feature-selection spec: need 0 < k <= p",

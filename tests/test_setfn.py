@@ -59,6 +59,12 @@ def test_mask_helpers():
     assert np.array_equal(indicator(0b101, 3), [1.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("mask", [-1, -6, -(1 << 70)])
+def test_set_of_rejects_a_negative_mask(mask):
+    with pytest.raises(GroundSetError, match="mask %d is negative" % mask):
+        set_of(mask)
+
+
 def test_modular_and_cut_values():
     f = setfn.modular([1.0, -2.0, 0.5])
     assert f(0) == 0.0

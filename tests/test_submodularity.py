@@ -1,0 +1,130 @@
+"""is_submodular against the exhaustive four-point check."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dsprism import experiments, setfn
+from dsprism.experiments import FAMILIES, gen_random_ds
+from dsprism.setfn import is_submodular, max_submodularity_violation
+
+
+def pair_terms(n):
+    """floor(n/2) * ceil(n/2): the most second differences one four-point
+    difference telescopes into."""
+    return (n // 2) * ((n + 1) // 2)
+
+
+def submodular_mixture(n, seed, weights):
+    """weights[0] * modular + weights[1] * coverage + weights[2] * concave of
+    cardinality + weights[3] * cut, as a table."""
+    rng = np.random.default_rng(seed)
+    incs = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
+    edges = [(u, v, float(rng.uniform(0.1, 1.0)))
+             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    covers = [[u for u in range(2 * n) if rng.random() < 0.35] for _ in range(n)]
+    parts = [setfn.modular(rng.normal(size=n)),
+             setfn.coverage(n, rng.uniform(0.1, 1.0, size=2 * n), covers),
+             setfn.cardinality_concave(n, np.concatenate([[0.0], np.cumsum(incs)])),
+             setfn.cut(n, edges)]
+    masks = np.arange(1 << n)
+    return sum(w * p.values(masks) for w, p in zip(weights, parts))
+
+
+@st.composite
+def gated_tables(draw):
+    """(table, tol): a submodular mixture, perhaps with a planted violation
+    whose local size is 0.5, 1 or 2 times tol, or tol / pair_terms(n)."""
+    n = draw(st.integers(1, 8))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-8]))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=4, max_size=4))
+    vals = submodular_mixture(n, draw(st.integers(0, 2 ** 16)), weights)
+    size = tol * draw(st.sampled_from([0.5, 1.0, 2.0, 1.0 / max(1, pair_terms(n))]))
+    plant = draw(st.sampled_from(["none", "bump", "pairs"]))
+    card = np.bitwise_count(np.arange(1 << n))
+    if plant == "bump" and n >= 2:
+        # +size at one set S of two or more elements: second difference
+        # +size at (S minus two elements, those two)
+        sets = np.flatnonzero(card >= 2)
+        vals[sets[draw(st.integers(0, len(sets) - 1))]] += size
+    elif plant == "pairs":
+        # size * C(|A|, 2): every second difference +size, and a four-point
+        # difference +size * |A\B| * |B\A|, the telescoping bound's worst case
+        vals += size * card * (card - 1) / 2
+    return setfn.table(n, vals), tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(gated_tables())
+def test_is_submodular_equals_the_four_point_check(case):
+    t, tol = case
+    assert is_submodular(t, tol) == (max_submodularity_violation(t) <= tol)
+
+
+@pytest.fixture
+def four_point_calls(monkeypatch):
+    """The oracles handed to max_submodularity_violation while it is spied on."""
+    calls = []
+    check = setfn.max_submodularity_violation
+
+    def spy(oracle):
+        calls.append(oracle)
+        return check(oracle)
+
+    monkeypatch.setattr(setfn, "max_submodularity_violation", spy)
+    return calls
+
+
+def test_each_branch_of_the_local_rule(four_point_calls):
+    n = 6
+    modular = submodular_mixture(n, 3, [1.0, 0.0, 0.0, 0.0])
+    card = np.bitwise_count(np.arange(1 << n))
+    strict = setfn.table(n, modular - card * card)  # every second difference -2
+    # a second difference above tol: False, and that value is a four-point value
+    assert not is_submodular(setfn.table(n, modular + 1e-6 * card * card), tol=1e-8)
+    # pair_terms * max(d, 0) plus rounding within tol: True
+    assert is_submodular(strict, tol=1e-9)
+    assert four_point_calls == []
+    # tol = 0 is within rounding of the table: the four-point check answers
+    assert is_submodular(strict, tol=0.0) == (max_submodularity_violation(strict) <= 0.0)
+    assert four_point_calls == [strict]
+    # every second difference tol / 2: pair_terms * tol / 2 > tol, the check answers
+    halves = setfn.table(n, modular + 0.5e-8 * card * (card - 1) / 2)
+    assert not is_submodular(halves, tol=1e-8)
+    assert four_point_calls == [strict, halves]
+
+
+def test_negative_or_nan_tol_is_never_met():
+    t = setfn.table(3, -np.bitwise_count(np.arange(8)) ** 2.0)
+    assert is_submodular(t, tol=0.5)
+    assert not is_submodular(t, tol=-1.0)  # A = B gives the four-point value 0
+    assert not is_submodular(t, tol=float("nan"))
+
+
+def test_is_submodular_keeps_the_ground_set_cap():
+    with pytest.raises(setfn.GroundSetError, match="n too large"):
+        is_submodular(setfn.modular(np.ones(setfn.CHECK_CAP + 1)))
+
+
+def test_corpus_gate_never_falls_back_to_the_four_point_check(monkeypatch):
+    gated = []
+    gate = experiments.is_submodular
+
+    def recording(oracle, tol):
+        gated.append((oracle, tol))
+        return gate(oracle, tol)
+
+    monkeypatch.setattr(experiments, "is_submodular", recording)
+    for n in range(1, 9):
+        for family in FAMILIES:
+            for seed in range(3):
+                gen_random_ds(n, family, seed)
+    assert len(gated) >= 2 * 8 * len(FAMILIES) * 3
+
+    def four_point(oracle):
+        raise AssertionError("is_submodular fell back to the four-point check")
+
+    monkeypatch.setattr(setfn, "max_submodularity_violation", four_point)
+    for oracle, tol in gated:
+        assert is_submodular(oracle, tol)
