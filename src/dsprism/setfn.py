@@ -11,7 +11,8 @@ import numpy as np
 from .numerics import least_squares, sym_eigs
 
 ENUM_CAP = 24
-CHECK_CAP = 12  # largest n the exhaustive four-point check accepts
+CHECK_CAP = 12  # largest n of max_submodularity_violation, ds_decompose, bench --p
+REPAIR_SLACK = 1e-9  # the violation ds_decompose leaves as is, and its margin on M
 
 
 class GroundSetError(ValueError):
@@ -22,7 +23,10 @@ def mask_of(elements):
     """Bitmask for an iterable of element indices."""
     m = 0
     for i in elements:
-        m |= 1 << int(i)
+        i = int(i)
+        if i < 0:
+            raise GroundSetError("element index %d is negative" % i)
+        m |= 1 << i
     return m
 
 
@@ -42,6 +46,8 @@ def set_of(mask):
 
 def indicator(mask, n):
     """Characteristic vector of a subset as a float array."""
+    if mask >> n:  # nonzero for a negative mask or one >= 2^n
+        raise GroundSetError("mask %d outside ground set of size %d" % (mask, n))
     return np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
 
 
@@ -563,7 +569,7 @@ def max_submodularity_violation(oracle):
                for A in np.array_split(B[:, None], max(1, len(B) // 64)))
 
 
-def ds_decompose(f, g, slack=1e-9):
+def ds_decompose(f, g):
     """Valid difference-of-submodular decomposition of f - g.
 
     When g (or f) fails the four-point check, adds M * q with
@@ -577,9 +583,9 @@ def ds_decompose(f, g, slack=1e-9):
     n = f.n
     ft, gt = as_table(f), as_table(g)
     viol = max(max_submodularity_violation(ft), max_submodularity_violation(gt))
-    if viol <= slack:
+    if viol <= REPAIR_SLACK:
         return ft, gt, 0.0
-    M = 0.5 * viol * (1.0 + 1e-6) + slack
+    M = 0.5 * viol * (1.0 + 1e-6) + REPAIR_SLACK
     card = np.bitwise_count(np.arange(1 << n))
     q = M * card * (n - card)
     f2 = table(n, ft.table_values + q)
@@ -593,38 +599,26 @@ def ds_decompose(f, g, slack=1e-9):
 def _max_second_difference(vals, n):
     """Largest f(A+i+j) + f(A) - f(A+i) - f(A+j) over A and i < j outside A,
     each summed as the four-point check sums its pair (A+i, A+j); -inf when
-    n < 2.  vals is the table by mask."""
+    n < 2, and a NaN or overflowed sum is kept.  vals is the table by mask."""
     cube = vals.reshape((2,) * n)  # axis n-1-i holds bit i
     best = -np.inf
     for i in range(n):
         for j in range(i + 1, n):
             c = np.moveaxis(cube, (n - 1 - i, n - 1 - j), (0, 1))  # c[1, 0]: A+i
-            best = max(best, float(np.max(c[1, 1] + c[0, 0] - c[1, 0] - c[0, 1])))
-    return best
+            best = np.maximum(best, np.max(c[1, 1] + c[0, 0] - c[1, 0] - c[0, 1]))
+    return float(best)
 
 
 def is_submodular(oracle, tol=1e-9):
-    """max_submodularity_violation(oracle) <= tol, decided where it can be
-    from one tabulation and the n(n-1)/2 * 2^(n-2) local second differences,
-    where the four-point check takes 4^n values (Bach 2013, ch. 2).
+    """floor(n/2) * ceil(n/2) * max(d, 0) <= tol, d the largest local second
+    difference f(A+i+j) + f(A) - f(A+i) - f(A+j) (Bach 2013, ch. 2).
 
-    Each second difference is the four-point value of a pair (A+i, A+j), so
-    a largest one d > tol answers False.  A four-point difference telescopes
-    into |A - B| * |B - A| <= floor(n/2) * ceil(n/2) second differences, so
-    that many times max(d, 0), plus 8 ulps of max|f| per term for rounding,
-    at most tol answers True.  Otherwise (tol within rounding of 0, d <= tol
-    but that many times d above it, or a table too large or not finite) the
-    four-point check answers.  n <= CHECK_CAP, as for that check."""
+    A four-point difference telescopes into |A - B| * |B - A| <=
+    floor(n/2) * ceil(n/2) second differences, and each d is a four-point
+    value, so True bounds max_submodularity_violation(oracle) by tol (up to
+    rounding), and that many times max(violation, 0) <= tol answers True.
+    A sum that overflows answers False; as_table raises on a non-finite
+    value or n above ENUM_CAP."""
     n = oracle.n
-    if n > CHECK_CAP:
-        raise GroundSetError("four-point check is exhaustive; n too large")
-    vals = oracle.values(np.arange(1 << n))
-    scale = float(np.max(np.abs(vals)))
-    if 8.0 * scale <= np.finfo(float).max:  # finite, and no sum overflows
-        d = _max_second_difference(vals, n)
-        if d > tol:
-            return False
-        terms = (n // 2) * ((n + 1) // 2)
-        if terms * max(d, 0.0) + 8.0 * np.finfo(float).eps * scale * (terms + 1) <= tol:
-            return True
-    return max_submodularity_violation(oracle) <= tol
+    d = _max_second_difference(as_table(oracle).table_values, n)
+    return (n // 2) * ((n + 1) // 2) * max(d, 0.0) <= tol  # max(nan, 0.0) is nan

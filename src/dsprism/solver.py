@@ -71,7 +71,7 @@ class SolveReport:
         return asdict(self)
 
 
-def cutting_plane(f, x_star, t_star, feas_tol=FEAS_TOL):
+def cutting_plane(f, x_star, t_star):
     """Separating cut at an infeasible witness z = (x*, t*).
 
     Returns (s, c, d) encoding l(x, t) = s.x + c*t + d <= 0 with
@@ -81,7 +81,7 @@ def cutting_plane(f, x_star, t_star, feas_tol=FEAS_TOL):
     """
     x_star = np.asarray(x_star, dtype=float)
     fhat = lovasz(f, x_star)
-    if np.any(fhat <= np.asarray(t_star) + feas_tol):
+    if np.any(fhat <= np.asarray(t_star) + FEAS_TOL):
         raise ValueError("cutting plane requested at a feasible point")
     s = lovasz_subgradient(f, x_star)
     # one s.x per point through matmul, for a point as for a block (an

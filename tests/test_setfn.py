@@ -65,6 +65,18 @@ def test_set_of_rejects_a_negative_mask(mask):
         set_of(mask)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: indicator(-1, 3), "mask -1 outside ground set of size 3"),
+    (lambda: indicator(9, 3), "mask 9 outside ground set of size 3"),
+    (lambda: indicator(-(1 << 70), 3), "mask -%d outside ground set" % (1 << 70)),
+    (lambda: mask_of([0, -1]), "element index -1 is negative"),
+], ids=["indicator_negative", "indicator_beyond_n", "indicator_huge_negative",
+        "mask_of_negative"])
+def test_mask_helpers_reject_what_no_subset_is(call, message):
+    with pytest.raises(GroundSetError, match=message):
+        call()
+
+
 def test_modular_and_cut_values():
     f = setfn.modular([1.0, -2.0, 0.5])
     assert f(0) == 0.0

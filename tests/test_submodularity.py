@@ -1,4 +1,6 @@
-"""is_submodular against the exhaustive four-point check."""
+"""is_submodular, the local rule, against the exhaustive four-point check."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,25 @@ from hypothesis import strategies as st
 from dsprism import experiments, setfn
 from dsprism.experiments import FAMILIES, gen_random_ds
 from dsprism.setfn import is_submodular, max_submodularity_violation
+
+
+@pytest.fixture(scope="module", autouse=True)
+def four_point_check_raises_inside_is_submodular():
+    """Throughout this module setfn.max_submodularity_violation raises when
+    is_submodular is on the call stack (ds_decompose may still call it)."""
+    check = setfn.max_submodularity_violation
+
+    def four_point(oracle):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is is_submodular.__code__:
+                raise AssertionError("is_submodular called the four-point check")
+            frame = frame.f_back
+        return check(oracle)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setfn, "max_submodularity_violation", four_point)
+        yield
 
 
 def pair_terms(n):
@@ -55,44 +76,42 @@ def gated_tables(draw):
     return setfn.table(n, vals), tol
 
 
+def rounding(t):
+    """8 ulps of max|f| per telescoped term: what rounding may add to a
+    four-point value beyond pair_terms times the largest second difference."""
+    scale = float(np.max(np.abs(t.table_values)))
+    return 8.0 * np.finfo(float).eps * scale * (pair_terms(t.n) + 1)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(gated_tables())
-def test_is_submodular_equals_the_four_point_check(case):
+def test_is_submodular_brackets_the_four_point_check(case):
     t, tol = case
-    assert is_submodular(t, tol) == (max_submodularity_violation(t) <= tol)
+    v = max_submodularity_violation(t)
+    if pair_terms(t.n) * max(v, 0.0) <= tol:
+        assert is_submodular(t, tol)
+    if is_submodular(t, tol):
+        assert v <= tol + rounding(t)
 
 
-@pytest.fixture
-def four_point_calls(monkeypatch):
-    """The oracles handed to max_submodularity_violation while it is spied on."""
-    calls = []
-    check = setfn.max_submodularity_violation
-
-    def spy(oracle):
-        calls.append(oracle)
-        return check(oracle)
-
-    monkeypatch.setattr(setfn, "max_submodularity_violation", spy)
-    return calls
-
-
-def test_each_branch_of_the_local_rule(four_point_calls):
+def test_each_branch_of_the_local_rule():
     n = 6
     modular = submodular_mixture(n, 3, [1.0, 0.0, 0.0, 0.0])
     card = np.bitwise_count(np.arange(1 << n))
     strict = setfn.table(n, modular - card * card)  # every second difference -2
     # a second difference above tol: False, and that value is a four-point value
     assert not is_submodular(setfn.table(n, modular + 1e-6 * card * card), tol=1e-8)
-    # pair_terms * max(d, 0) plus rounding within tol: True
+    # pair_terms * max(d, 0) within tol: True
     assert is_submodular(strict, tol=1e-9)
-    assert four_point_calls == []
-    # tol = 0 is within rounding of the table: the four-point check answers
-    assert is_submodular(strict, tol=0.0) == (max_submodularity_violation(strict) <= 0.0)
-    assert four_point_calls == [strict]
-    # every second difference tol / 2: pair_terms * tol / 2 > tol, the check answers
+    # at tol = 0 too; the four-point check reads a rounding residue of a
+    # comparable pair there, inside the bracket's allowance
+    assert is_submodular(strict, tol=0.0)
+    assert 0.0 < max_submodularity_violation(strict) <= rounding(strict)
+    # every second difference tol / 2: pair_terms * tol / 2 > tol, False, as
+    # the four-point check reads pair_terms * tol / 2 too
     halves = setfn.table(n, modular + 0.5e-8 * card * (card - 1) / 2)
     assert not is_submodular(halves, tol=1e-8)
-    assert four_point_calls == [strict, halves]
+    assert max_submodularity_violation(halves) > 1e-8
 
 
 def test_negative_or_nan_tol_is_never_met():
@@ -102,9 +121,24 @@ def test_negative_or_nan_tol_is_never_met():
     assert not is_submodular(t, tol=float("nan"))
 
 
+def test_non_finite_values_never_read_as_submodular():
+    # finite values whose second differences overflow: +-1e308 by the parity
+    # of |A| makes each of them sum to +inf
+    t = setfn.table(3, 1e308 * (-1.0) ** np.bitwise_count(np.arange(8)))
+    with np.errstate(over="ignore"):
+        assert not is_submodular(t, tol=1e-9)
+    # NaN propagates through the largest second difference (max(-inf, nan)
+    # would drop it)
+    vals = np.zeros(8)
+    vals[7] = np.nan
+    assert np.isnan(setfn._max_second_difference(vals, 3))
+    with pytest.raises(ValueError, match="value at mask 0 is nan; values must be finite"):
+        is_submodular(setfn.SetFunction(3, lambda mask: float("nan")))
+
+
 def test_is_submodular_keeps_the_ground_set_cap():
-    with pytest.raises(setfn.GroundSetError, match="n too large"):
-        is_submodular(setfn.modular(np.ones(setfn.CHECK_CAP + 1)))
+    with pytest.raises(setfn.GroundSetError, match="too large to tabulate"):
+        is_submodular(setfn.modular(np.ones(setfn.ENUM_CAP + 1)))
 
 
 def test_corpus_gate_never_falls_back_to_the_four_point_check(monkeypatch):
@@ -121,10 +155,6 @@ def test_corpus_gate_never_falls_back_to_the_four_point_check(monkeypatch):
             for seed in range(3):
                 gen_random_ds(n, family, seed)
     assert len(gated) >= 2 * 8 * len(FAMILIES) * 3
-
-    def four_point(oracle):
-        raise AssertionError("is_submodular fell back to the four-point check")
-
-    monkeypatch.setattr(setfn, "max_submodularity_violation", four_point)
     for oracle, tol in gated:
         assert is_submodular(oracle, tol)
+        assert max_submodularity_violation(oracle) <= tol
