@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import binary_points
-from .setfn import ENUM_CAP, GroundSetError, as_table, set_of
+from .setfn import GroundSetError, as_table, chain_subgradient, set_of
 
 
 def modular_lower_bound(g, current_mask, perm):
@@ -15,7 +15,8 @@ def modular_lower_bound(g, current_mask, perm):
 
     perm must order all n elements with the elements of current_mask first.
     Returns (weights, constant) with h(B) = constant + sum of weights over B;
-    h agrees with g at current_mask and h <= g everywhere.
+    h agrees with g at current_mask and h <= g everywhere.  The weights are
+    ``setfn.chain_subgradient`` along perm, so n is at most 63.
     """
     n = g.n
     perm = [int(i) for i in perm]
@@ -24,16 +25,7 @@ def modular_lower_bound(g, current_mask, perm):
     k = current_mask.bit_count()
     if {i for i in perm[:k]} != set(set_of(current_mask)):
         raise ValueError("current set is not a prefix of perm")
-    weights = np.empty(n)
-    const = g(0)
-    mask = 0
-    prev = const
-    for j in range(n):
-        mask |= 1 << perm[j]
-        cur = g(mask)
-        weights[perm[j]] = cur - prev
-        prev = cur
-    return weights, const
+    return chain_subgradient(g, perm), g(0)
 
 
 def _modular_min(fvals, weights, const):
@@ -61,8 +53,6 @@ def ssp(f, g, init=0, seed=0):
     if f.n != g.n:
         raise GroundSetError("oracles live on different ground sets")
     n = f.n
-    if n > ENUM_CAP:
-        raise GroundSetError("ground set too large for the exhaustive inner step")
     fvals = as_table(f).table_values
     rng = random.Random(seed)
     current = int(init)

@@ -68,7 +68,6 @@ class FsInstanceSpec:
     k: int
     lam: float
     seed: int
-    noise_scale: float = 1.0  # test hook; 0 gives the noiseless model
 
     def __post_init__(self):
         if not (0 < self.k <= self.p) or self.n_samples <= 0 or self.lam < 0:
@@ -90,10 +89,10 @@ class FsInstance:
     spec: FsInstanceSpec
 
 
-def _draw_response(X, w, rng, noise_scale):
+def _draw_response(X, w, rng):
     signal = X @ w
     eps = rng.standard_normal(X.shape[0])
-    return signal + noise_scale * X.shape[0] ** -0.5 * float(np.linalg.norm(signal)) * eps
+    return signal + X.shape[0] ** -0.5 * float(np.linalg.norm(signal)) * eps
 
 
 def gen_feature_selection(spec):
@@ -108,9 +107,9 @@ def gen_feature_selection(spec):
     support = np.sort(rng.choice(spec.p, size=spec.k, replace=False))
     w = np.zeros(spec.p)
     w[support] = rng.standard_normal(spec.k)
-    y = _draw_response(X, w, rng, spec.noise_scale)
+    y = _draw_response(X, w, rng)
     X_test = rng.standard_normal((100, spec.p))
-    y_test = _draw_response(X_test, w, rng, spec.noise_scale)
+    y_test = _draw_response(X_test, w, rng)
     f = setfn.nuclear(X, scale=spec.lam)
     g = setfn.neg_residual(X, y)
     return FsInstance(f=f, g=g, X=X, y=y, X_test=X_test, y_test=y_test,
@@ -189,19 +188,20 @@ _GENERATORS = {
 
 
 def gen_random_ds(n, family, seed):
-    """Seeded random instance from one of the four families; both oracles are
-    verified submodular (``is_submodular`` at tol 1e-8, decided from the
-    local second differences) before release."""
+    """Seeded random instance from one of the four families, drawn once;
+    both oracles are verified submodular (``is_submodular`` at tol 1e-8,
+    decided from the local second differences) before release, and a
+    draw that fails raises RuntimeError."""
     if family not in _GENERATORS:
         raise ValueError("unknown family %r" % family)
     if n > CORPUS_MAX_N:
         raise ValueError("corpus instances are capped at n=%d" % CORPUS_MAX_N)
     rng = np.random.default_rng(FAMILIES.index(family) * 1_000_003 + 7919 * n + seed)
-    for _ in range(100):
-        f, g = _GENERATORS[family](n, rng)
-        if is_submodular(f, tol=1e-8) and is_submodular(g, tol=1e-8):
-            return DsInstance(f=f, g=g, n=n, family=family, seed=seed)
-    raise RuntimeError("failed to draw a submodular pair for %s" % family)
+    f, g = _GENERATORS[family](n, rng)
+    if not (is_submodular(f, tol=1e-8) and is_submodular(g, tol=1e-8)):
+        raise RuntimeError("the %s draw for n=%d, seed=%d is not a submodular pair"
+                           % (family, n, seed))
+    return DsInstance(f=f, g=g, n=n, family=family, seed=seed)
 
 
 def verify_corpus(n_values, families, reps, seed):
@@ -306,15 +306,3 @@ def bench_to_csv(rows):
     for r in rows:
         writer.writerow({k: r[k] for k in BENCH_FIELDS})
     return buf.getvalue()
-
-
-def bench_from_csv(text):
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        rows.append({"method": rec["method"], "p": int(rec["p"]), "n": int(rec["n"]),
-                     "k": int(rec["k"]), "lambda": float(rec["lambda"]),
-                     "seed": int(rec["seed"]), "objective": float(rec["objective"]),
-                     "card": int(rec["card"]), "train_err": float(rec["train_err"]),
-                     "test_err": float(rec["test_err"]), "wall_ms": float(rec["wall_ms"])})
-    return rows

@@ -207,24 +207,8 @@ def _fold_cuts(s, d, X, t_lo):
 
 
 class CutPointError(ValueError):
-    """Cut points that are not one distinct binary point per cut."""
-
-
-def _cut_points(masks, k, n):
-    """masks as the read-only int64 array of the binary points k cuts were
-    taken at, one distinct mask in 0..2^n-1 per cut; raises CutPointError."""
-    m = np.atleast_1d(np.asarray(masks))
-    if m.ndim != 1 or len(m) != k:
-        raise CutPointError("%d cut points given for %d cuts" % (m.size, k))
-    if k and m.dtype.kind not in "iu":
-        raise CutPointError("cut points must be integer masks, got %s" % m.dtype)
-    outside = (m < 0) | (m >= 1 << n)
-    if outside.any():
-        raise CutPointError("cut point mask %d outside 0..%d" % (m[outside][0], (1 << n) - 1))
-    seen, count = np.unique(m, return_counts=True)
-    if (count > 1).any():
-        raise CutPointError("cut point mask %d given twice" % seen[count > 1][0])
-    return _read_only(m.astype(np.int64))
+    """Cut points that are not one binary point per cut, each distinct and
+    not cut before."""
 
 
 class Polyhedron:
@@ -265,31 +249,45 @@ def add_cut(P, cut_row, masks=None):
     so the cut reads t >= s.x + d.
 
     A block of cuts is s of shape (k, n) with c and d of length k.  masks,
-    when given, names the binary point each cut was taken at (one distinct
+    when given, names the binary point each cut was taken at (one integer
     mask per cut, in cut order); each cut must be tight there, as the
     Lovasz-extension subgradients of ``solver.cutting_plane`` are.  The new
     cuts are folded into t_lo at once: at the points not cut yet, and at
     each new cut point as the larger of its value before and the cut's own
     value s.z + d.  Cuts given without points are folded into every point.
-    Invalid masks raise CutPointError.
+    A binary point is cut at most once: a mask outside the cube, given
+    twice or cut before raises CutPointError.
     """
     s, c, d = (np.asarray(v, dtype=float) for v in cut_row)
     if np.any(c != -1.0):
         raise ValueError("a cut must have t-coefficient c = -1 (t >= s.x + d)")
+    n = P.domain.n
     if masks is not None:
-        masks = _cut_points(masks, d.size, P.domain.n)
+        masks = np.atleast_1d(masks)
+        if masks.shape != (d.size,):
+            raise CutPointError("%d cut points given for %d cuts" % (masks.size, d.size))
+        if masks.dtype.kind not in "iu":
+            raise CutPointError("cut points must be integer masks, got %s" % masks.dtype)
+        outside = masks >> n  # nonzero for a negative mask or one >= 2^n
+        if outside.any():
+            raise CutPointError("cut point mask %d outside 0..%d"
+                                % (masks[outside != 0][0], (1 << n) - 1))
+        cut = P.cut.copy()
+        cut[masks] = True
+        if np.count_nonzero(cut) != np.count_nonzero(P.cut) + masks.size:
+            m = next(m for i, m in enumerate(masks.tolist()) if P.cut[m] or m in masks[:i])
+            raise CutPointError("cut point mask %d %s" % (m, "was cut before" if P.cut[m]
+                                                          else "given twice"))
     Q = object.__new__(Polyhedron)
     Q.domain, Q.t_tilde = P.domain, P.t_tilde
     Q.s = _read_only(np.concatenate([P.s, s.reshape(-1, s.shape[-1])]))
     Q.d = _read_only(np.concatenate([P.d, d.reshape(-1)]))
     # the new rows read back as contiguous float rows, whatever s's layout
     s, d = Q.s[len(P.d):], Q.d[len(P.d):]
-    X = binary_points(P.domain.n)
+    X = binary_points(n)
     if masks is None:
         Q.t_lo, Q.cut = _read_only(_fold_cuts(s, d, X, P.t_lo)), P.cut
         return Q
-    cut = P.cut.copy()
-    cut[masks] = True
     at = np.flatnonzero(~cut)
     t_lo = P.t_lo.copy()
     t_lo[at] = _fold_cuts(s, d, X[at], t_lo[at])

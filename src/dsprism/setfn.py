@@ -450,9 +450,21 @@ def _split_binary(X):
     return binary, B, R
 
 
+MASK_BITS = 63  # the largest ground set whose masks fit an int64
+
+
+def _bits(n):
+    """1 << i for the n elements, as the int64 array the chain and set
+    masks are built from; raises GroundSetError above MASK_BITS."""
+    if n > MASK_BITS:
+        raise GroundSetError("masks are int64, so the Lovasz extension needs n <= %d, "
+                             "got n = %d" % (MASK_BITS, n))
+    return np.left_shift(1, np.arange(n, dtype=np.int64))
+
+
 def _masks_of(B):
     """The int64 masks of the rows of a binary block B."""
-    return B.astype(np.int64) @ np.left_shift(1, np.arange(B.shape[-1]))
+    return B.astype(np.int64) @ _bits(B.shape[-1])
 
 
 def _chain_order(x):
@@ -465,8 +477,20 @@ def _chain_values(oracle, order):
     """Values of the oracle along the prefix chain of an element order,
     starting from the empty set: n+1 values per order (last axis)."""
     chain = np.zeros(order.shape[:-1] + (order.shape[-1] + 1,), dtype=np.int64)
-    np.cumsum(np.left_shift(1, order), axis=-1, out=chain[..., 1:])
+    np.cumsum(_bits(order.shape[-1])[order], axis=-1, out=chain[..., 1:])
     return oracle.values(chain)
+
+
+def chain_subgradient(oracle, order):
+    """Edmonds' greedy chain: the differences of the oracle's values along
+    the prefix chain of an element order, each put at the element that
+    enters; one row per order when order is a (k, n) block.  It is the
+    Lovasz subgradient at every point the order sorts nonincreasingly, and
+    the modular lower bound of a submodular oracle tight along the chain."""
+    order = np.asarray(order)
+    s = np.empty(order.shape)
+    np.put_along_axis(s, order, np.diff(_chain_values(oracle, order), axis=-1), axis=-1)
+    return s
 
 
 def lovasz(oracle, x):
@@ -506,17 +530,8 @@ def lovasz_subgradient(oracle, x):
     if B is not None:
         s[binary] = _set_subgradients(oracle, B)
     if R is not None:
-        s[~binary] = _chain_subgradients(oracle, R)
+        s[~binary] = chain_subgradient(oracle, _chain_order(R))
     return s.reshape(x.shape)
-
-
-def _chain_subgradients(oracle, R):
-    """The subgradient at each row of R: the differences of the values
-    along its chain, each put at the element that enters."""
-    order = _chain_order(R)
-    s = np.empty_like(R)
-    np.put_along_axis(s, order, np.diff(_chain_values(oracle, order), axis=-1), axis=-1)
-    return s
 
 
 def _set_subgradients(oracle, B):
@@ -526,7 +541,7 @@ def _set_subgradients(oracle, B):
     when i is in the set, else the set and every element below i; and
     s_i = f(lo + i) - f(lo), the same difference of the same two values.
     A row reads 2n values, where its chain has n + 1."""
-    bit = np.left_shift(1, np.arange(B.shape[-1]))
+    bit = _bits(B.shape[-1])
     a = _masks_of(B)[:, None]
     lo = a | (bit - 1)
     np.copyto(lo, a & (bit - 1), where=B == 1.0)

@@ -35,6 +35,29 @@ def test_modular_lower_bound_validates_inputs():
         modular_lower_bound(g, 0b001, [1, 0, 2])  # current not a prefix
 
 
+def test_modular_lower_bound_is_the_chain_of_scalar_values_bitwise():
+    # one block read of the chain equals the differences of scalar calls,
+    # for oracles with and without a block kernel
+    rng = np.random.default_rng(3)
+    n = 6
+    X = rng.standard_normal((9, n))
+    for g in (setfn.nuclear(X, 0.7), setfn.neg_residual(X, rng.standard_normal(9)),
+              setfn.coverage(n, rng.uniform(0.5, 1.5, 8), [[0, 1], [2], [3, 4], [5], [6, 7], [1]])):
+        perm = rng.permutation(n).tolist()
+        weights, const = modular_lower_bound(g, mask_of(perm[:2]), perm)
+        prefix = [mask_of(perm[:j]) for j in range(n + 1)]
+        want = np.empty(n)
+        for j in range(n):
+            want[perm[j]] = g(prefix[j + 1]) - g(prefix[j])
+        assert weights.tobytes() == want.tobytes() and const == g(0)
+
+
+def test_ssp_keeps_the_tabulation_cap():
+    f = setfn.modular(np.ones(setfn.ENUM_CAP + 1))
+    with pytest.raises(setfn.GroundSetError, match="too large to tabulate"):
+        ssp(f, f)
+
+
 def test_modular_min_matches_loop():
     rng = np.random.default_rng(1)
     fvals = rng.normal(size=32)

@@ -1,11 +1,12 @@
 """Smoke tests for the command-line interface."""
 
+import csv
 import json
 
 import pytest
 
 from dsprism.cli import main
-from dsprism.experiments import bench_from_csv, gen_random_ds
+from dsprism.experiments import gen_random_ds
 
 
 @pytest.fixture
@@ -54,7 +55,8 @@ def test_bench_command(tmp_path, capsys):
     rc = main(["bench", "--p", "5", "--n", "20", "--k", "2",
                "--lambdas", "1.0", "--reps", "2", "--out", str(out_csv)])
     assert rc == 0
-    rows = bench_from_csv(out_csv.read_text())
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 6  # 2 reps x 1 lambda x 3 methods
     agg = json.loads((tmp_path / "bench.csv.agg.json").read_text())
     assert {a["method"] for a in agg} == {"prism", "ssp", "greedy"}

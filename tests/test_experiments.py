@@ -1,13 +1,15 @@
 """Tests for instance generation and the benchmark harness."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
-from dsprism import setfn
+from dsprism import experiments, setfn
 from dsprism.experiments import (FAMILIES, DsInstance, FsInstanceSpec, aggregate_bench,
-                                 bench_from_csv, bench_to_csv, gen_feature_selection,
-                                 gen_random_ds, instance_from_dict, run_bench,
-                                 verify_corpus)
+                                 bench_to_csv, gen_feature_selection, gen_random_ds,
+                                 instance_from_dict, run_bench, verify_corpus)
 from dsprism.setfn import as_table, is_submodular, mask_of
 from dsprism.solver import solve
 
@@ -31,14 +33,16 @@ def test_gen_feature_selection_shapes_and_determinism():
 
 
 def test_noiseless_recovery():
-    # with the noise zeroed and a small penalty, the exact solve selects a
-    # support with (numerically) zero residual
-    spec = FsInstanceSpec(p=7, n_samples=30, k=2, lam=0.05, seed=5, noise_scale=0.0)
+    # with the noise left out of the response and a small penalty, the exact
+    # solve selects a support with (numerically) zero residual
+    spec = FsInstanceSpec(p=7, n_samples=30, k=2, lam=0.05, seed=5)
     inst = gen_feature_selection(spec)
-    f2, g2, _ = setfn.ds_decompose(inst.f, inst.g)
+    y = inst.X @ inst.w
+    g = setfn.neg_residual(inst.X, y)
+    f2, g2, _ = setfn.ds_decompose(inst.f, g)
     rep = solve(f2, g2)
     mask = mask_of(rep.optimal_set)
-    assert -inst.g(mask) <= 1e-9 * float(inst.y @ inst.y)
+    assert -g(mask) <= 1e-9 * float(y @ y)
     assert mask & mask_of(inst.support) == mask_of(inst.support)
 
 
@@ -54,6 +58,15 @@ def test_gen_random_ds_families_submodular_and_deterministic():
         gen_random_ds(4, "no_such_family", 0)
     with pytest.raises(ValueError):
         gen_random_ds(11, FAMILIES[0], 0)
+
+
+def test_gen_random_ds_draws_once(monkeypatch):
+    # a draw the submodularity gate rejects is an error, not a redraw
+    calls = []
+    monkeypatch.setattr(experiments, "is_submodular", lambda h, tol: calls.append(h) or False)
+    with pytest.raises(RuntimeError, match="coverage_minus_coverage draw for n=5, seed=9 "):
+        gen_random_ds(5, "coverage_minus_coverage", 9)
+    assert len(calls) == 1
 
 
 def test_instance_json_roundtrip():
@@ -89,13 +102,14 @@ def test_bench_csv_roundtrip():
     text = bench_to_csv(rows)
     assert text.splitlines()[0] == ("method,p,n,k,lambda,seed,objective,card,"
                                     "train_err,test_err,wall_ms")
-    back = bench_from_csv(text)
+    back = list(csv.DictReader(io.StringIO(text)))
     assert len(back) == len(rows)
     for a, b in zip(rows, back):
-        for key in ("method", "p", "n", "k", "seed", "card"):
-            assert a[key] == b[key]
+        assert a["method"] == b["method"]
+        for key in ("p", "n", "k", "seed", "card"):
+            assert a[key] == int(b[key])
         for key in ("lambda", "objective", "train_err", "test_err"):
-            assert b[key] == pytest.approx(a[key], rel=1e-12)
+            assert float(b[key]) == pytest.approx(a[key], rel=1e-12)
 
 
 def test_aggregate_bench_means():

@@ -351,6 +351,21 @@ def test_add_cut_rejects_invalid_cut_points(masks, match, monkeypatch):
     assert folds == [] and P.num_rows == 1
 
 
+def test_add_cut_cuts_a_point_once():
+    # a mask cut before, in this call or an earlier one, is refused by name,
+    # and the refused call changes nothing
+    n = 4
+    rng = np.random.default_rng(12)
+    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=0.0), random_cuts(n, 2, rng), [3, 5])
+    for masks, match in (([7, 5], "mask 5 was cut before"), ([3], "mask 3 was cut before"),
+                         ([9, 9], "mask 9 given twice"), ([8, 9, 8], "mask 8 given twice")):
+        with pytest.raises(CutPointError, match=match):
+            add_cut(P, random_cuts(n, len(masks), rng), masks)
+    assert P.num_rows == 3 and np.array_equal(np.flatnonzero(P.cut), [3, 5])
+    Q = add_cut(P, random_cuts(n, 1, rng), np.uint64(9))  # one cut at a scalar mask
+    assert np.array_equal(np.flatnonzero(Q.cut), [3, 5, 9])
+
+
 def test_initial_simplex_inverse_in_closed_form():
     # against the factorization of its vertices, bitwise: every anchor up to
     # n = 6, the anchors 0 and 2^n - 1 and sampled ones up to n = 24

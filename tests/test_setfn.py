@@ -272,6 +272,26 @@ def test_ground_set_errors():
         lovasz(f, np.array([0.5, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize("n, binary", [(64, False), (64, True), (70, True)])
+def test_lovasz_names_its_int64_mask_limit(n, binary):
+    # chain and set masks are int64 and would overflow above 63 elements
+    rng = np.random.default_rng(n)
+    f = setfn.modular(rng.normal(size=n))
+    x = rng.integers(0, 2, size=n).astype(float) if binary else rng.random(n)
+    for call in (lovasz, lovasz_subgradient):
+        with pytest.raises(GroundSetError, match="n <= 63, got n = %d" % n):
+            call(f, x)
+
+
+def test_lovasz_at_63_elements():
+    rng = np.random.default_rng(63)
+    w = rng.normal(size=63)
+    f = setfn.modular(w)
+    for x in (rng.random(63), rng.integers(0, 2, size=63).astype(float)):
+        assert lovasz(f, x) == pytest.approx(float(w @ x), abs=1e-9)
+        assert np.allclose(lovasz_subgradient(f, x), w, rtol=0.0, atol=1e-12)
+
+
 def test_lovasz_exact_at_characteristic_vectors():
     for f in library_oracles(4, seed=1):
         for mask in range(1 << 4):

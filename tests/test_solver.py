@@ -1,11 +1,12 @@
 """Tests for the branch-and-bound driver."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dsprism import geometry, setfn
+from dsprism import geometry, setfn, solver
 from dsprism.experiments import FAMILIES, gen_random_ds
 from dsprism.geometry import barycentric, binary_points
 from dsprism.setfn import as_table, brute_force_ds_min, indicator, lovasz
@@ -298,6 +299,63 @@ def test_no_binary_point_is_cut_twice():
                     rep = solve(inst.f, inst.g, cfg, observer=observer)
                     assert len(set(cut_at)) == len(cut_at) == rep.cuts_added
                     assert rep.cuts_added <= (1 << n) - 1
+
+
+def cut_where_the_bound_is_decided(monkeypatch):
+    """Run the paper's search instead of the root sweep: each bound program
+    hands the solver only its witness and the first argmin of t_lo - g among
+    its binary points, the point that decides the direct bound.  The solver
+    then feeds the incumbent and cuts only those two points."""
+    inner = solver.solve_bound
+
+    def solve_bound(S, P, levels, g):
+        res = inner(S, P, levels, g)
+        masks, t_lo = res.feasible_points, res.feasible_t_lo
+        if len(masks) == 0:
+            return res
+        j = int(np.argmin(t_lo - g.values(masks)))
+        at = np.searchsorted(masks, np.unique([res.witness_mask, masks[j]]))
+        return dataclasses.replace(res, feasible_points=masks[at], feasible_t_lo=t_lo[at])
+
+    monkeypatch.setattr(solver, "solve_bound", solve_bound)
+
+
+@pytest.mark.parametrize("paper_search", [False, True], ids=["sweep", "paper_search"])
+def test_limits_certify_the_gap_and_no_point_is_cut_twice(paper_search, monkeypatch):
+    # every solve, stopped on a limit or not, brackets the optimum with
+    # optimal_value - final_gap <= min(f - g) <= optimal_value, is exact when
+    # it ends optimal, and cuts each binary point at most once.  Without the
+    # sweep the incumbent is not exact from the root on, so a wrong gap and a
+    # stale bound at selection (a point cut twice) both show
+    if paper_search:
+        cut_where_the_bound_is_decided(monkeypatch)
+    limits = ([{"max_iters": m} for m in (0, 1, 2)] + [{}]
+              + [{"max_nodes": m} for m in (1, 2, 4, 8)])
+    ends = {}
+    for n in range(2, 7):
+        weights = 1 << np.arange(n)
+        for family in FAMILIES:
+            for seed in range(7):
+                inst = gen_random_ds(n, family, seed)
+                f, g = as_table(inst.f), as_table(inst.g)
+                _, best = brute_force_ds_min(f, g)
+                tol = 1e-9 * max(1.0, abs(best))
+                for limit in limits:
+                    cut_at = []
+
+                    def observer(event, data):
+                        if event == "cut":
+                            cut_at.append(int(data["z"][0] @ weights))
+
+                    rep = solve(f, g, SolverConfig(**limit), observer=observer)
+                    ends[rep.termination_reason] = ends.get(rep.termination_reason, 0) + 1
+                    assert len(set(cut_at)) == len(cut_at) == rep.cuts_added
+                    assert rep.final_gap >= 0.0
+                    assert rep.optimal_value - rep.final_gap <= best + tol
+                    assert rep.optimal_value >= best - tol
+                    if rep.termination_reason == "optimal":
+                        assert rep.optimal_value <= best + tol
+    assert set(ends) == {"optimal", "iteration_limit", "node_limit"}
 
 
 def test_binary_t_lo_of_solver_polyhedra():
