@@ -100,10 +100,11 @@ class SetFunction:
             return np.empty(masks.shape)
         if masks.dtype.kind not in "iu":
             raise GroundSetError("masks must be integers, got an array of %s" % masks.dtype)
-        outside = masks >> self.n  # nonzero for a negative mask or one >= 2^n
-        if outside.any():
+        # nonzero for a negative mask or one >= 2^n; the block-sized test
+        # array is freed before the kernel allocates, and rebuilt on error
+        if (masks >> self.n).any():
             raise GroundSetError("mask %d outside ground set of size %d"
-                                 % (masks[outside != 0][0], self.n))
+                                 % (masks[(masks >> self.n) != 0][0], self.n))
         if self._kernel is None:
             return np.fromiter(map(self._fn, masks.ravel().tolist()), dtype=float,
                                count=masks.size).reshape(masks.shape)
@@ -113,7 +114,9 @@ class SetFunction:
         return "SetFunction(n=%d, %s)" % (self.n, self.name)
 
 
-BLOCK = 4096  # masks per stacked numerics call in the matrix-oracle kernels
+# masks per stacked numerics call in the matrix-oracle kernels, and (A, i, j)
+# triples per gather in _max_second_difference
+BLOCK = 4096
 
 
 def _column_kernel(n, empty, block):
@@ -592,12 +595,26 @@ def ds_decompose(f, g):
     slack >= 2 on every incomparable pair, so M = violation / 2 repairs
     the pair while leaving the difference f - g unchanged.
     Returns (f', g', M); M = 0 means the inputs were returned as-is.
+
+    The exhaustive check runs only where it can move M: first on the side
+    with the larger ``_violation_bound``, then on the other side only when
+    its bound exceeds the first side's violation (or REPAIR_SLACK), so on
+    neither when both bounds are <= REPAIR_SLACK.  M is the same float as
+    from checking both sides.
     """
     if f.n != g.n:
         raise GroundSetError("oracles live on different ground sets")
     n = f.n
+    if n > CHECK_CAP:
+        raise GroundSetError("ds_decompose may run the exhaustive four-point check, "
+                             "so n <= %d; got n = %d" % (CHECK_CAP, n))
     ft, gt = as_table(f), as_table(g)
-    viol = max(max_submodularity_violation(ft), max_submodularity_violation(gt))
+    sides = sorted(((_violation_bound(t.table_values, n), t) for t in (ft, gt)),
+                   key=lambda side: side[0], reverse=True)  # stable: f first on a tie
+    viol = -np.inf
+    for bound, t in sides:
+        if bound > max(viol, REPAIR_SLACK):
+            viol = max(viol, max_submodularity_violation(t))
     if viol <= REPAIR_SLACK:
         return ft, gt, 0.0
     M = 0.5 * viol * (1.0 + 1e-6) + REPAIR_SLACK
@@ -611,17 +628,54 @@ def ds_decompose(f, g):
     return f2, g2, M
 
 
+def _insert_zeros(x, bit_i, bit_j):
+    """x with a zero bit inserted at bit i, then one at bit j > i: the x-th
+    mask, in ascending order, of those without i and j."""
+    x = (x & (bit_i - 1)) | ((x & -bit_i) << 1)
+    return (x & (bit_j - 1)) | ((x & -bit_j) << 1)
+
+
 def _max_second_difference(vals, n):
     """Largest f(A+i+j) + f(A) - f(A+i) - f(A+j) over A and i < j outside A,
-    each summed as the four-point check sums its pair (A+i, A+j); -inf when
-    n < 2, and a NaN or overflowed sum is kept.  vals is the table by mask."""
-    cube = vals.reshape((2,) * n)  # axis n-1-i holds bit i
+    each summed in that order, as the four-point check sums its pair
+    (A+i, A+j); -inf when n < 2, and a NaN or overflowed sum is kept.  vals
+    is the table by mask.  The n(n-1)/2 * 2^(n-2) triples (A, i, j) are
+    gathered BLOCK at a time: several whole pairs (i, j) when n is small,
+    a slice of one pair's sets A when it is large."""
+    if n < 2:
+        return -np.inf
+    i, j = np.triu_indices(n, 1)
+    bit_i, bit_j = np.left_shift(1, i)[:, None], np.left_shift(1, j)[:, None]
+    per_pair = 1 << (n - 2)  # the sets A outside one pair
+    cols = min(per_pair, BLOCK)
+    rows = max(1, BLOCK // per_pair)
+    low = np.arange(cols)
     best = -np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = np.moveaxis(cube, (n - 1 - i, n - 1 - j), (0, 1))  # c[1, 0]: A+i
-            best = np.maximum(best, np.max(c[1, 1] + c[0, 0] - c[1, 0] - c[0, 1]))
+    for p in range(0, len(i), rows):
+        b_i, b_j = bit_i[p:p + rows], bit_j[p:p + rows]
+        a = _insert_zeros(low, b_i, b_j)  # each pair's first cols sets A
+        ai, aj = a | b_i, a | b_j
+        aij = ai | b_j
+        for s in range(0, per_pair, cols):
+            # the s-th to (s+cols-1)-th sets A are the first cols ones plus one
+            # offset (s > 0 only when the block is a single pair)
+            v = vals[_insert_zeros(s, int(b_i[0, 0]), int(b_j[0, 0])):]
+            best = np.maximum(best, np.max(v[aij] + v[a] - v[ai] - v[aj]))
     return float(best)
+
+
+def _violation_bound(vals, n):
+    """An upper bound on max_submodularity_violation of the table vals:
+    k * max(d, 0) + 8 (k + 1) ulps of max|f|, with k = floor(n/2) * ceil(n/2)
+    and d the largest local second difference (is_submodular's bracket).  A
+    four-point difference telescopes into at most k second differences, and
+    a four-term sum rounds by at most 4.5 ulps of max|f|, so the bound holds
+    for the computed values too.  The rounding of this expression matters
+    only where d > 3.5 max|f|, and there it is above 4 max|f|, which no
+    four-point value exceeds."""
+    k = (n // 2) * ((n + 1) // 2)
+    ulp = np.finfo(float).eps * float(np.max(np.abs(vals)))
+    return k * max(_max_second_difference(vals, n), 0.0) + 8.0 * (k + 1) * ulp
 
 
 def is_submodular(oracle, tol=1e-9):

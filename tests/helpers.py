@@ -2,12 +2,15 @@
 
 ``contains`` and ``t_interval`` test a point against a simplex and read the
 polyhedron's t-range at one point; ``hyperplane_through`` and
-``equivalence_check`` give the hyperplane form of the bound program.  The
-solver needs none of them.
+``equivalence_check`` give the hyperplane form of the bound program.
+``second_difference_by_pair`` and ``exhaustive_decompose`` are the per-pair
+and both-sides-checked forms of ``setfn._max_second_difference`` and
+``setfn.ds_decompose``.  The solver needs none of them.
 """
 
 import numpy as np
 
+from dsprism import setfn
 from dsprism.geometry import MEMBERSHIP_TOL, barycentric, binary_points
 from dsprism.numerics import lu_solve
 
@@ -59,3 +62,28 @@ def equivalence_check(S, P, levels, tol=1e-8):
     obj_hyp = grid[inside] @ p - t_lo
     return bool(np.all(np.abs(obj_hyp - (obj_mip + gamma)) <= tol)
                 and abs(np.max(obj_hyp) - (np.max(obj_mip) + gamma)) <= tol)
+
+
+def second_difference_by_pair(vals, n):
+    """Largest f(A+i+j) + f(A) - f(A+i) - f(A+j), summed in that order, one
+    pair i < j at a time over strided views of the table; -inf when n < 2,
+    and a NaN or overflowed sum is kept."""
+    cube = vals.reshape((2,) * n)  # axis n-1-i holds bit i
+    best = -np.inf
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = np.moveaxis(cube, (n - 1 - i, n - 1 - j), (0, 1))  # c[1, 0]: A+i
+            best = np.maximum(best, np.max(c[1, 1] + c[0, 0] - c[1, 0] - c[0, 1]))
+    return float(best)
+
+
+def exhaustive_decompose(f, g):
+    """ds_decompose with M from the four-point check of both sides."""
+    ft, gt = setfn.as_table(f), setfn.as_table(g)
+    viol = max(setfn.max_submodularity_violation(ft), setfn.max_submodularity_violation(gt))
+    if viol <= setfn.REPAIR_SLACK:
+        return ft, gt, 0.0
+    M = 0.5 * viol * (1.0 + 1e-6) + setfn.REPAIR_SLACK
+    card = np.bitwise_count(np.arange(1 << f.n))
+    q = M * card * (f.n - card)
+    return setfn.table(f.n, ft.table_values + q), setfn.table(f.n, gt.table_values + q), M

@@ -444,6 +444,24 @@ def test_values_rejects_masks_outside_ground_set(mask):
     assert calls == []  # every mask is checked before fn sees any
 
 
+def test_values_frees_its_range_check_before_the_kernel_runs():
+    masks = np.arange(1 << 16)
+    held = []
+
+    def kernel(m):
+        held.append(tracemalloc.get_traced_memory()[0] - before)
+        return m.astype(float)
+
+    f = setfn.SetFunction(16, kernel=kernel)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert np.array_equal(f.values(masks), masks)
+    finally:
+        tracemalloc.stop()
+    assert held[0] < masks.nbytes // 2
+
+
 def test_values_of_no_masks_is_an_empty_float_array():
     f = setfn.cut(4, [(0, 2, 1.0), (1, 3, 2.0)])
     oracles = (f, as_table(f), setfn.modular([1.0, -2.0]), setfn.nuclear(np.eye(3)))

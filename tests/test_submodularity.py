@@ -1,15 +1,19 @@
-"""is_submodular, the local rule, against the exhaustive four-point check."""
+"""is_submodular and ds_decompose, which decide from local second
+differences, against the exhaustive four-point check."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import exhaustive_decompose, second_difference_by_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsprism import experiments, setfn
 from dsprism.experiments import FAMILIES, gen_random_ds
-from dsprism.setfn import is_submodular, max_submodularity_violation
+from dsprism.setfn import (CHECK_CAP, REPAIR_SLACK, GroundSetError, ds_decompose,
+                           is_submodular, max_submodularity_violation)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -158,3 +162,125 @@ def test_corpus_gate_never_falls_back_to_the_four_point_check(monkeypatch):
     for oracle, tol in gated:
         assert is_submodular(oracle, tol)
         assert max_submodularity_violation(oracle) <= tol
+
+
+def bits(x):
+    """The bytes of a float or an array, so == compares bit for bit."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_max_second_difference_equals_the_per_pair_loop(n):
+    # n <= 13 gathers several pairs per block, n = 14 one pair, n >= 15 a
+    # pair in slices of its sets A
+    rng = np.random.default_rng(n)
+    tables = [scale * rng.normal(size=1 << n) for scale in (1e-6, 1.0, 1e8)]
+    tables.append(submodular_mixture(n, n, [1.0, 0.3, 1.0, 0.3]))
+    for vals in tables:
+        assert bits(setfn._max_second_difference(vals, n)) == bits(second_difference_by_pair(vals, n))
+
+
+def test_max_second_difference_keeps_nan_and_overflow():
+    assert setfn._max_second_difference(np.array([1.0, -2.0]), 1) == -np.inf
+    for n in (12, 15):  # several pairs per block; a pair in two blocks
+        vals = np.zeros(1 << n)
+        vals[(1 << n) - 2] = np.nan
+        assert np.isnan(setfn._max_second_difference(vals, n))
+    # finite values whose second differences overflow
+    vals = 1e308 * (-1.0) ** np.bitwise_count(np.arange(1 << 4))
+    with np.errstate(over="ignore"):
+        assert setfn._max_second_difference(vals, 4) == np.inf
+
+
+def test_max_second_difference_needs_no_more_memory_than_the_per_pair_loop():
+    n = 16
+    vals = np.random.default_rng(n).normal(size=1 << n)
+    peaks = []
+    for fn in (setfn._max_second_difference, second_difference_by_pair):
+        tracemalloc.start()
+        try:
+            fn(vals, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
+@st.composite
+def decompose_pairs(draw):
+    """(f, g): tables on one ground set at one magnitude, 1e-6..1e8; each is
+    a submodular mixture, plus a planted violation on the sides drawn to
+    carry one (sizes from below rounding to far above REPAIR_SLACK)."""
+    n = draw(st.integers(1, 7))
+    scale = 10.0 ** draw(st.integers(-6, 8))
+    violating = draw(st.sampled_from([(False, False), (True, False), (False, True),
+                                      (True, True)]))
+    card = np.bitwise_count(np.arange(1 << n))
+    sides = []
+    for violates in violating:
+        weights = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=4, max_size=4))
+        vals = submodular_mixture(n, draw(st.integers(0, 2 ** 16)), weights)
+        size = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1.0]))
+        plant = draw(st.sampled_from(["bump", "pairs", "noise"])) if violates else None
+        if plant == "bump" and n >= 2:
+            sets = np.flatnonzero(card >= 2)
+            vals[sets[draw(st.integers(0, len(sets) - 1))]] += size
+        elif plant == "pairs":
+            vals += size * card * (card - 1) / 2
+        elif plant == "noise":
+            vals += size * np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=1 << n)
+        sides.append(setfn.table(n, scale * vals))
+    return sides
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(decompose_pairs())
+def test_ds_decompose_equals_the_repair_from_both_four_point_checks(pair):
+    f, g = pair
+    f_ref, g_ref, M_ref = exhaustive_decompose(f, g)
+    # the bounds the skipped checks rest on, and the checks they dictate:
+    # the larger-bound side unless both bounds clear REPAIR_SLACK, then the
+    # other unless its bound is within the first side's violation
+    sides = [(setfn._violation_bound(t.table_values, t.n), max_submodularity_violation(t))
+             for t in (f, g)]
+    for bound, v in sides:
+        assert v <= bound
+    (b1, v1), (b2, _) = sorted(sides, key=lambda side: side[0], reverse=True)
+    expected = 0 if b1 <= REPAIR_SLACK else 1 if b2 <= max(v1, REPAIR_SLACK) else 2
+    checked = []
+    check = setfn.max_submodularity_violation
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setfn, "max_submodularity_violation", lambda t: checked.append(t) or check(t))
+        f2, g2, M = ds_decompose(f, g)
+    assert len(checked) == expected
+    assert bits(M) == bits(M_ref)
+    assert bits(f2.table_values) == bits(f_ref.table_values)
+    assert bits(g2.table_values) == bits(g_ref.table_values)
+
+
+def test_ds_decompose_checks_only_the_sides_its_bounds_cannot_clear(monkeypatch):
+    checked = []
+    check = setfn.max_submodularity_violation
+    monkeypatch.setattr(setfn, "max_submodularity_violation",
+                        lambda t: checked.append(t.name) or check(t))
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((9, 5))
+    y = rng.standard_normal(9)
+    # the nuclear norm is submodular by construction: only the residual
+    _, _, M = ds_decompose(setfn.nuclear(X, scale=0.5), setfn.neg_residual(X, y))
+    assert M > 0 and checked == ["table(neg_residual)"]
+    checked.clear()
+    _, _, M = ds_decompose(setfn.modular([1.0, -1.0, 0.5]), setfn.cut(3, [(0, 1, 1.0)]))
+    assert M == 0.0 and checked == []
+    # two violating sides: the larger bound's first, then the other
+    noise = [setfn.table(5, rng.normal(size=32)) for _ in range(2)]
+    _, _, M = ds_decompose(*noise)
+    assert M > 0 and len(checked) == 2
+
+
+def test_ds_decompose_keeps_the_check_cap():
+    # a submodular pair, whose bounds would skip both four-point checks
+    n = CHECK_CAP + 1
+    f, g = setfn.modular(np.ones(n)), setfn.cut(n, [(0, 1, 1.0)])
+    with pytest.raises(GroundSetError, match="n <= %d; got n = %d" % (CHECK_CAP, n)):
+        ds_decompose(f, g)
