@@ -8,7 +8,7 @@ import sys
 from .baselines import greedy, ssp
 from .experiments import (CORPUS_MAX_N, FAMILIES, FsInstanceSpec, bench_to_csv,
                           load_instance, run_bench, verify_corpus)
-from .setfn import CHECK_CAP, set_of
+from .setfn import CHECK_CAP, ENUM_CAP, is_submodular, set_of
 from .solver import SolverConfig, solve
 
 
@@ -31,14 +31,30 @@ def _load(path):
     return None
 
 
+def _too_large(inst, command):
+    """True, after saying why on stderr, when the instance has more elements
+    than command can tabulate."""
+    if inst.n <= ENUM_CAP:
+        return False
+    _fail("%s tabulates all 2^n subsets, so n <= %d; the instance has n = %d "
+          "(baseline --method greedy takes any n)" % (command, ENUM_CAP, inst.n))
+    return True
+
+
 def _cmd_solve(args):
     try:
         cfg = SolverConfig(eps=args.eps, max_iters=args.max_iters)
     except ValueError as exc:
         return _fail(exc)
     inst = _load(args.instance)
-    if inst is None:
+    if inst is None or _too_large(inst, "solve"):
         return 1
+    # the cuts and bounds hold for submodular sides only; checked here, at
+    # O(n^2 2^n) per side, and not in every solve
+    for side, oracle in (("f", inst.f), ("g", inst.g)):
+        if not is_submodular(oracle, tol=1e-8):
+            return _fail("side %s of the instance is not submodular (is_submodular at "
+                         "tol 1e-8); setfn.ds_decompose repairs the pair" % side)
     report = solve(inst.f, inst.g, cfg)
     payload = report.to_dict()
     trace = payload.pop("trace")
@@ -61,6 +77,8 @@ def _cmd_baseline(args):
     if inst is None:
         return 1
     if args.method == "ssp":
+        if _too_large(inst, "baseline --method ssp"):
+            return 1
         if not 0 <= args.init < 1 << inst.n:
             return _fail("--init must be a subset mask in 0..%d, got %d"
                          % ((1 << inst.n) - 1, args.init))

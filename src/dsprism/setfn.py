@@ -523,32 +523,12 @@ def lovasz(oracle, x):
 
 def lovasz_subgradient(oracle, x):
     """Edmonds greedy subgradient of the Lovász extension at x, or one per
-    row when x is a (k, n) block of points."""
+    row when x is a (k, n) block of points: ``chain_subgradient`` of each
+    point's nonincreasing order, n + 1 oracle values per point."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != oracle.n:
         raise GroundSetError("point has wrong dimension")
-    X = x.reshape(-1, oracle.n)
-    s = np.empty_like(X)
-    binary, B, R = _split_binary(X)
-    if B is not None:
-        s[binary] = _set_subgradients(oracle, B)
-    if R is not None:
-        s[~binary] = chain_subgradient(oracle, _chain_order(R))
-    return s.reshape(x.shape)
-
-
-def _set_subgradients(oracle, B):
-    """The chain subgradients at the characteristic vectors B, without
-    sorting.  The chain takes the set's elements, then the others, each
-    ascending, so element i enters after lo: the set's elements below i
-    when i is in the set, else the set and every element below i; and
-    s_i = f(lo + i) - f(lo), the same difference of the same two values.
-    A row reads 2n values, where its chain has n + 1."""
-    bit = _bits(B.shape[-1])
-    a = _masks_of(B)[:, None]
-    lo = a | (bit - 1)
-    np.copyto(lo, a & (bit - 1), where=B == 1.0)
-    return oracle.values(lo | bit) - oracle.values(lo)
+    return chain_subgradient(oracle, _chain_order(x))
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +562,11 @@ def max_submodularity_violation(oracle):
         raise GroundSetError("four-point check is exhaustive; n too large")
     B = np.arange(1 << n)
     vals = oracle.values(B)
-    # about 64 sets A at a time: temporaries of ~64 x 2^n entries, not 2^n x 2^n
+    # 2^14 / 2^n sets A at a time: temporaries of at most 2^14 entries (128 KB),
+    # which the allocator reuses where larger ones are mapped afresh
+    rows = max(1, (1 << 14) >> n)
     return max(float(np.max(vals[A | B] + vals[A & B] - vals[A] - vals[B]))
-               for A in np.array_split(B[:, None], max(1, len(B) // 64)))
+               for A in (B[a:a + rows, None] for a in range(0, len(B), rows)))
 
 
 def ds_decompose(f, g):
@@ -596,11 +578,10 @@ def ds_decompose(f, g):
     the pair while leaving the difference f - g unchanged.
     Returns (f', g', M); M = 0 means the inputs were returned as-is.
 
-    The exhaustive check runs only where it can move M: first on the side
-    with the larger ``_violation_bound``, then on the other side only when
-    its bound exceeds the first side's violation (or REPAIR_SLACK), so on
-    neither when both bounds are <= REPAIR_SLACK.  M is the same float as
-    from checking both sides.
+    The exhaustive check runs on each side whose ``_violation_bound``
+    exceeds REPAIR_SLACK.  A side it skips has a violation of at most
+    REPAIR_SLACK, which cannot set M, so M is the same float as from
+    checking both sides.
     """
     if f.n != g.n:
         raise GroundSetError("oracles live on different ground sets")
@@ -609,12 +590,8 @@ def ds_decompose(f, g):
         raise GroundSetError("ds_decompose may run the exhaustive four-point check, "
                              "so n <= %d; got n = %d" % (CHECK_CAP, n))
     ft, gt = as_table(f), as_table(g)
-    sides = sorted(((_violation_bound(t.table_values, n), t) for t in (ft, gt)),
-                   key=lambda side: side[0], reverse=True)  # stable: f first on a tie
-    viol = -np.inf
-    for bound, t in sides:
-        if bound > max(viol, REPAIR_SLACK):
-            viol = max(viol, max_submodularity_violation(t))
+    viol = max((max_submodularity_violation(t) for t in (ft, gt)
+                if _violation_bound(t.table_values, n) > REPAIR_SLACK), default=-np.inf)
     if viol <= REPAIR_SLACK:
         return ft, gt, 0.0
     M = 0.5 * viol * (1.0 + 1e-6) + REPAIR_SLACK

@@ -5,7 +5,9 @@ polyhedron's t-range at one point; ``hyperplane_through`` and
 ``equivalence_check`` give the hyperplane form of the bound program.
 ``second_difference_by_pair`` and ``exhaustive_decompose`` are the per-pair
 and both-sides-checked forms of ``setfn._max_second_difference`` and
-``setfn.ds_decompose``.  The solver needs none of them.
+``setfn.ds_decompose``; ``set_subgradient`` is the closed form of
+``setfn.lovasz_subgradient`` at characteristic vectors.  The solver needs
+none of them.
 """
 
 import numpy as np
@@ -87,3 +89,16 @@ def exhaustive_decompose(f, g):
     card = np.bitwise_count(np.arange(1 << f.n))
     q = M * card * (f.n - card)
     return setfn.table(f.n, ft.table_values + q), setfn.table(f.n, gt.table_values + q), M
+
+
+def set_subgradient(oracle, B):
+    """The chain subgradients at the characteristic vectors B (rows), without
+    sorting.  The chain takes the set's elements, then the others, each
+    ascending, so element i enters after lo: the set's elements below i
+    when i is in the set, else the set and every element below i; and
+    s_i = f(lo + i) - f(lo), the same difference of the same two values."""
+    bit = np.left_shift(1, np.arange(B.shape[-1], dtype=np.int64))
+    a = (B.astype(np.int64) @ bit)[..., None]
+    lo = a | (bit - 1)
+    np.copyto(lo, a & (bit - 1), where=B == 1.0)
+    return oracle.values(lo | bit) - oracle.values(lo)

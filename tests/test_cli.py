@@ -112,6 +112,14 @@ def test_instance_ground_sets_must_match_n(f, g, reason, tmp_path, capsys):
     assert capsys.readouterr().err == "dsprism: cannot load instance %s: %s\n" % (path, reason)
 
 
+# a modular pair above ENUM_CAP, and a pair whose g has the second
+# difference g({0, 1}) + g({}) - g({0}) - g({1}) = 3 > 0
+MODULAR_30 = {"n": 30, "f": {"type": "modular", "weights": [1.0] * 30},
+              "g": {"type": "modular", "weights": [0.5] * 30}}
+NOT_SUBMODULAR = {"n": 2, "f": {"type": "modular", "weights": [1.0, -1.0]},
+                  "g": {"type": "table", "values": [0.0, 0.0, 0.0, 3.0]}}
+
+
 @pytest.mark.parametrize("argv, reason", [
     pytest.param(["solve", "--max-iters", "-1"], "max_iters must be nonnegative, got -1",
                  id="solve_negative_max_iters"),
@@ -153,11 +161,24 @@ def test_instance_ground_sets_must_match_n(f, g, reason, tmp_path, capsys):
                  id="bench_negative_reps"),
     pytest.param(["bench", "--seed", "-1"], "--seed must be nonnegative, got -1",
                  id="bench_negative_seed"),
+    # a last argv entry that is a dict is the instance file's content
+    pytest.param(["solve", MODULAR_30], "solve tabulates all 2^n subsets, so n <= 24; "
+                 "the instance has n = 30", id="solve_n_above_enum_cap"),
+    pytest.param(["baseline", "--method", "ssp", MODULAR_30], "baseline --method ssp "
+                 "tabulates all 2^n subsets, so n <= 24", id="ssp_n_above_enum_cap"),
+    pytest.param(["solve", dict(NOT_SUBMODULAR, f=NOT_SUBMODULAR["g"], g=NOT_SUBMODULAR["f"])],
+                 "side f of the instance is not submodular", id="solve_f_not_submodular"),
+    pytest.param(["solve", NOT_SUBMODULAR], "side g of the instance is not submodular "
+                 "(is_submodular at tol 1e-8); setfn.ds_decompose repairs the pair",
+                 id="solve_g_not_submodular"),
 ])
 def test_bad_argument_exits_with_message(argv, reason, tmp_path, capsys, monkeypatch):
     # rejected before any solve, with a one-line reason and no traceback
     path = tmp_path / "n2.json"
     path.write_text(json.dumps(gen_random_ds(2, "cut_minus_modular", 0).to_dict()))
+    if isinstance(argv[-1], dict):
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1]
     if argv[0] in ("solve", "baseline"):
         argv = argv + ["--instance", str(path)]
     monkeypatch.chdir(tmp_path)  # bench writes bench.csv here if it runs
@@ -169,6 +190,13 @@ def test_bad_argument_exits_with_message(argv, reason, tmp_path, capsys, monkeyp
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_greedy_takes_an_instance_above_enum_cap(tmp_path, capsys):
+    path = tmp_path / "n30.json"
+    path.write_text(json.dumps(MODULAR_30))
+    assert main(["baseline", "--method", "greedy", "--instance", str(path)]) == 0
+    assert capsys.readouterr().out == "greedy: set []  value 0\n"
 
 
 def test_fractional_edge_endpoint_is_not_loaded(tmp_path, capsys):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import set_subgradient
 
 from dsprism import setfn
 from dsprism.setfn import (GroundSetError, as_table, brute_force_ds_min,
@@ -637,6 +638,20 @@ def test_subgradient_at_sets_equals_the_argsort_chain_bitwise(n):
             got = lovasz_subgradient(oracle, X)
             assert got.shape == X.shape
             assert got.tobytes() == chain_subgradient(oracle, X).tobytes()
+        for X in (rows, rows[-1]):  # and the closed form at characteristic vectors
+            assert lovasz_subgradient(oracle, X).tobytes() == set_subgradient(oracle, X).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_subgradient_reads_n_plus_one_masks_per_binary_row(n):
+    # through a counting oracle with no kernel, as perfbench wraps oracles
+    f = setfn.table(n, np.random.default_rng(n).normal(size=1 << n))
+    reads = []
+    counted = setfn.SetFunction(n, lambda m: reads.append(m) or f(m))
+    rows = np.array([(m >> np.arange(n)) & 1 for m in range(0, 1 << n, 3)], dtype=float)
+    s = lovasz_subgradient(counted, rows)
+    assert len(reads) == (n + 1) * len(rows)
+    assert s.tobytes() == lovasz_subgradient(f, rows).tobytes()
 
 
 def test_call_passes_an_int_and_returns_a_float():

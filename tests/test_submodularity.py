@@ -239,14 +239,12 @@ def test_ds_decompose_equals_the_repair_from_both_four_point_checks(pair):
     f, g = pair
     f_ref, g_ref, M_ref = exhaustive_decompose(f, g)
     # the bounds the skipped checks rest on, and the checks they dictate:
-    # the larger-bound side unless both bounds clear REPAIR_SLACK, then the
-    # other unless its bound is within the first side's violation
+    # each side whose bound exceeds REPAIR_SLACK
     sides = [(setfn._violation_bound(t.table_values, t.n), max_submodularity_violation(t))
              for t in (f, g)]
     for bound, v in sides:
         assert v <= bound
-    (b1, v1), (b2, _) = sorted(sides, key=lambda side: side[0], reverse=True)
-    expected = 0 if b1 <= REPAIR_SLACK else 1 if b2 <= max(v1, REPAIR_SLACK) else 2
+    expected = sum(bound > REPAIR_SLACK for bound, _ in sides)
     checked = []
     check = setfn.max_submodularity_violation
     with pytest.MonkeyPatch.context() as mp:
@@ -272,7 +270,7 @@ def test_ds_decompose_checks_only_the_sides_its_bounds_cannot_clear(monkeypatch)
     checked.clear()
     _, _, M = ds_decompose(setfn.modular([1.0, -1.0, 0.5]), setfn.cut(3, [(0, 1, 1.0)]))
     assert M == 0.0 and checked == []
-    # two violating sides: the larger bound's first, then the other
+    # two violating sides: both are checked
     noise = [setfn.table(5, rng.normal(size=32)) for _ in range(2)]
     _, _, M = ds_decompose(*noise)
     assert M > 0 and len(checked) == 2
