@@ -3,12 +3,13 @@
 import argparse
 import json
 import math
+import os
 import sys
 
 from .baselines import greedy, ssp
 from .experiments import (CORPUS_MAX_N, FAMILIES, FsInstanceSpec, bench_to_csv,
                           load_instance, run_bench, verify_corpus)
-from .setfn import CHECK_CAP, ENUM_CAP, is_submodular, set_of
+from .setfn import CHECK_CAP, ENUM_CAP, as_table, is_submodular, set_of
 from .solver import SolverConfig, solve
 
 
@@ -41,21 +42,40 @@ def _too_large(inst, command):
     return True
 
 
+def _unwritable(*paths):
+    """True, after saying why on stderr, when one of the output paths (None
+    for an output not asked for) cannot be opened for writing.  A file the
+    probe creates is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            _fail("cannot write %s: %s" % (path, exc.strerror))
+            return True
+        if not existed:
+            os.remove(path)
+    return False
+
+
 def _cmd_solve(args):
     try:
         cfg = SolverConfig(eps=args.eps, max_iters=args.max_iters)
     except ValueError as exc:
         return _fail(exc)
     inst = _load(args.instance)
-    if inst is None or _too_large(inst, "solve"):
+    if (inst is None or _too_large(inst, "solve")
+            or _unwritable(args.trace, args.report)):
         return 1
     # the cuts and bounds hold for submodular sides only; checked here, at
-    # O(n^2 2^n) per side, and not in every solve
-    for side, oracle in (("f", inst.f), ("g", inst.g)):
-        if not is_submodular(oracle, tol=1e-8):
+    # O(n^2 2^n) per side, and not in every solve, on the tables the solve
+    # then takes, so each oracle is tabulated once
+    ft, gt = as_table(inst.f), as_table(inst.g)
+    for side, t in (("f", ft), ("g", gt)):
+        if not is_submodular(t, tol=1e-8):
             return _fail("side %s of the instance is not submodular (is_submodular at "
                          "tol 1e-8); setfn.ds_decompose repairs the pair" % side)
-    report = solve(inst.f, inst.g, cfg)
+    report = solve(ft, gt, cfg)
     payload = report.to_dict()
     trace = payload.pop("trace")
     if args.trace:
@@ -82,6 +102,9 @@ def _cmd_baseline(args):
         if not 0 <= args.init < 1 << inst.n:
             return _fail("--init must be a subset mask in 0..%d, got %d"
                          % ((1 << inst.n) - 1, args.init))
+    if _unwritable(args.report):
+        return 1
+    if args.method == "ssp":
         out = ssp(inst.f, inst.g, init=args.init, seed=args.seed)
         payload = {"method": "ssp", "set": set_of(out.mask), "value": out.value,
                    "iterations": out.iterations, "seed": args.seed, "init": args.init}
@@ -110,11 +133,13 @@ def _cmd_bench(args):
         FsInstanceSpec(p=args.p, n_samples=args.n, k=args.k, lam=1.0, seed=args.seed)
     except ValueError as exc:
         return _fail(exc)
+    agg_path = args.out + ".agg.json"
+    if _unwritable(args.out, agg_path):
+        return 1
     rows, aggregates = run_bench(p=args.p, n_samples=args.n, k=args.k,
                                  lambdas=lambdas, reps=args.reps, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write(bench_to_csv(rows))
-    agg_path = args.out + ".agg.json"
     with open(agg_path, "w") as fh:
         json.dump(aggregates, fh, indent=2)
     print("wrote %d rows to %s (aggregates in %s)" % (len(rows), args.out, agg_path))

@@ -41,15 +41,22 @@ class DsInstance:
                 "family": self.family, "seed": self.seed}
 
 
+def _integer(key, value):
+    """value as an int; a float must be integral, and a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError("%s is %r; %s must be an integer" % (key, value, key))
+    return int(value)
+
+
 def instance_from_dict(d):
-    n = int(d["n"])
+    n = _integer("n", d["n"])
     f = make_function(d["f"], n=n)
     g = make_function(d["g"], n=n)
     for name, h in (("f", f), ("g", g)):
         if h.n != n:
             raise ValueError("oracle %s has %d elements, but n is %d" % (name, h.n, n))
     return DsInstance(f=f, g=g, n=n, family=d.get("family", "file"),
-                      seed=int(d.get("seed", 0)))
+                      seed=_integer("seed", d.get("seed", 0)))
 
 
 def load_instance(path):
@@ -121,11 +128,8 @@ def gen_feature_selection(spec):
 
 
 def _gen_cut_minus_modular(n, rng):
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.6:
-                edges.append((u, v, float(rng.uniform(0.1, 1.0))))
+    edges = [(u, v, float(rng.uniform(0.1, 1.0)))
+             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
     if not edges:
         edges.append((0, min(1, n - 1), 0.5))
     f = setfn.cut(n, edges)
@@ -136,10 +140,7 @@ def _gen_cut_minus_modular(n, rng):
 def _random_coverage(n, rng):
     m = 2 * n
     weights = rng.uniform(0.1, 1.0, size=m)
-    covers = []
-    for _ in range(n):
-        items = [u for u in range(m) if rng.random() < 0.35]
-        covers.append(items)
+    covers = [[u for u in range(m) if rng.random() < 0.35] for _ in range(n)]
     return setfn.coverage(n, weights, covers)
 
 
@@ -230,13 +231,8 @@ def verify_corpus(n_values, families, reps, seed):
 
 def _prediction_errors(X, y, X_test, y_test, mask):
     cols = set_of(mask)
-    if cols:
-        w, _ = least_squares(X[:, cols], y)
-        train_hat = X[:, cols] @ w
-        test_hat = X_test[:, cols] @ w
-    else:
-        train_hat = np.zeros_like(y)
-        test_hat = np.zeros_like(y_test)
+    w = least_squares(X[:, cols], y)[0] if cols else np.zeros(0)
+    train_hat, test_hat = X[:, cols] @ w, X_test[:, cols] @ w
     train = float(np.sum((train_hat - y) ** 2) / np.sum(y ** 2))
     test = float(np.sum((test_hat - y_test) ** 2) / np.sum(y_test ** 2))
     return train, test
@@ -256,8 +252,7 @@ def run_bench(p=10, n_samples=40, k=3, lambdas=(0.25, 0.5, 1.0, 2.0), reps=10,
         nuc = as_table(setfn.nuclear(base.X, scale=1.0))
         res = as_table(base.g)
         for lam in lambdas:
-            f = setfn.table(p, lam * nuc.table_values)
-            g = res
+            f, g = setfn.table(p, lam * nuc.table_values), res
             for method in ("prism", "ssp", "greedy"):
                 t0 = time.perf_counter()
                 if method == "prism":
@@ -279,8 +274,7 @@ def run_bench(p=10, n_samples=40, k=3, lambdas=(0.25, 0.5, 1.0, 2.0), reps=10,
                              "lambda": lam, "seed": seed + rep, "objective": obj,
                              "card": mask.bit_count(), "train_err": train,
                              "test_err": test, "wall_ms": wall})
-    aggregates = aggregate_bench(rows)
-    return rows, aggregates
+    return rows, aggregate_bench(rows)
 
 
 def aggregate_bench(rows):
@@ -291,11 +285,8 @@ def aggregate_bench(rows):
     for method, lam in keys:
         cell = [r for r in rows if r["method"] == method and r["lambda"] == lam]
         out.append({"method": method, "lambda": lam, "reps": len(cell),
-                    "objective": float(np.mean([r["objective"] for r in cell])),
-                    "card": float(np.mean([r["card"] for r in cell])),
-                    "train_err": float(np.mean([r["train_err"] for r in cell])),
-                    "test_err": float(np.mean([r["test_err"] for r in cell])),
-                    "wall_ms": float(np.mean([r["wall_ms"] for r in cell]))})
+                    **{k: float(np.mean([r[k] for r in cell]))
+                       for k in ("objective", "card", "train_err", "test_err", "wall_ms")}})
     return out
 
 

@@ -13,7 +13,7 @@ only into the binary points not cut yet.
 
 import numpy as np
 
-from .numerics import SingularMatrixError, det, lu_factor, lu_solve_factored
+from .numerics import det
 from .setfn import indicator
 
 DEGENERACY_TOL = 1e-12
@@ -41,22 +41,18 @@ class Simplex:
         V = np.array(vertices, dtype=float)
         if V.ndim != 2 or V.shape[0] != V.shape[1] + 1:
             raise ValueError("simplex needs n+1 vertices in n-space")
+        if not np.all(np.isfinite(V)):
+            raise ValueError("simplex vertices must be finite")
         n = V.shape[1]
-        # one factorization serves both the degeneracy test (|det| of the
-        # barycentric matrix equals |det| of the edge matrix) and the inverse
+        # |det| of the barycentric matrix equals |det| of the edge matrix
         M = np.vstack([V.T, np.ones(n + 1)])
         scale = float(np.prod(np.linalg.norm(V[1:] - V[0], axis=1)))
-        try:
-            LU, piv = lu_factor(M)
-        except SingularMatrixError:
-            raise DegenerateSimplexError("vertices are (nearly) affinely dependent")
-        d = float(np.prod(np.diag(LU)))
-        if abs(d) <= DEGENERACY_TOL * max(scale, 1e-300):
+        if abs(np.linalg.det(M)) <= DEGENERACY_TOL * max(scale, 1e-300):
             raise DegenerateSimplexError("vertices are (nearly) affinely dependent")
         self.vertices = _read_only(V)
         self.n = n
         # lambda(x) = Minv @ (x; 1)
-        self._minv = _read_only(lu_solve_factored(LU, piv, np.eye(n + 1)))
+        self._minv = _read_only(np.linalg.inv(M))
 
     def replace_vertex(self, i, r, lam):
         """Child simplex with vertex i replaced by r, whose barycentric
@@ -105,28 +101,11 @@ def initial_simplex(n, v_mask=0):
 
     The apex a is the chosen cube vertex; the n remaining vertices are the
     points where the bounding hyperplane meets the cone edges leaving the
-    apex (a step of length n along each free coordinate direction, of sign
-    sigma_i = +1 where a_i = 0 and -1 where a_i = 1).  The barycentric
-    coordinates have a closed form: lambda_i = sigma_i (x_i - a_i) / n for
-    the vertex a + n sigma_i e_i.  lambda_0 is solved from the equation the
-    LU of Simplex(vertices) pivots on first, x_k for the lowest k with
-    a_k = 1 or sum(lambda) = 1 when a = 0, as its back substitution solves
-    it, so the matrix equals the factored one bit for bit.
+    apex, a + n sigma_i e_i: a step of length n along each coordinate
+    direction, of sign sigma_i = +1 where a_i = 0 and -1 where a_i = 1.
     """
     apex = indicator(v_mask, n)
-    sigma = 1.0 - 2.0 * apex
-    minv = np.zeros((n + 1, n + 1))
-    minv[1:, :n] = np.diag(sigma / n)
-    minv[1:, n] = apex / n  # -sigma_i a_i / n
-    # that equation's coefficients of lambda_1..lambda_n: all 1 (the x_k row
-    # has 1 - n at vertex k + 1), and 1 at lambda_0
-    k = (v_mask & -v_mask).bit_length() - 1 if v_mask else n
-    u = np.ones(n)
-    if k < n:
-        u[k] = 1.0 - n
-    minv[0, k] = 1.0
-    minv[0] -= u @ minv[1:]
-    return Simplex._of(apex + np.vstack([np.zeros(n), np.diag(n * sigma)]), minv)
+    return Simplex(apex + np.vstack([np.zeros(n), np.diag(n * (1.0 - 2.0 * apex))]))
 
 
 def longest_edge(S):

@@ -1,6 +1,6 @@
-"""Dense linear algebra: the LU factorization the simplex geometry reuses,
-and validated numpy.linalg calls for determinants, least squares and
-symmetric eigenvalues.  Least squares and eigenvalues take one matrix or a
+"""Dense linear algebra: validated numpy.linalg calls for determinants,
+least squares and symmetric eigenvalues, and a hand-written LU factorization
+that only the tests call.  Least squares and eigenvalues take one matrix or a
 stack (..., rows, cols) of them, solved in one batched call.
 
 Square inputs are checked to be finite and at most MAX_DIM on a side.

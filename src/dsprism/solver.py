@@ -21,7 +21,7 @@ from .setfn import (GroundSetError, as_table, brute_force_min, lovasz,
 FEAS_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     eps: float = 1e-9
     max_iters: int = 200_000

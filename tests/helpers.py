@@ -14,7 +14,6 @@ import numpy as np
 
 from dsprism import setfn
 from dsprism.geometry import MEMBERSHIP_TOL, barycentric, binary_points
-from dsprism.numerics import lu_solve
 
 
 def contains(S, x, tol=MEMBERSHIP_TOL):
@@ -42,7 +41,7 @@ def hyperplane_through(points, heights):
     t = np.asarray(heights, dtype=float)
     n = V.shape[1]
     A = np.hstack([V, -np.ones((n + 1, 1))])
-    sol = lu_solve(A, t)
+    sol = np.linalg.solve(A, t)
     return sol[:n], float(sol[n])
 
 

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from dsprism import cli, setfn, solver
 from dsprism.cli import main
 from dsprism.experiments import gen_random_ds
+from dsprism.setfn import as_table
 
 
 @pytest.fixture
@@ -112,6 +114,53 @@ def test_instance_ground_sets_must_match_n(f, g, reason, tmp_path, capsys):
     assert capsys.readouterr().err == "dsprism: cannot load instance %s: %s\n" % (path, reason)
 
 
+MODULAR_3 = {"f": {"type": "modular", "weights": [1.0, -2.0, 0.5]},
+             "g": {"type": "modular", "weights": [0.5, 0.0, 1.5]}}
+
+
+@pytest.mark.parametrize("fields, reason", [
+    pytest.param({"n": 2.7}, "n is 2.7; n must be an integer", id="fractional_n"),
+    pytest.param({"n": True}, "n is True; n must be an integer", id="bool_n"),
+    pytest.param({"n": "3"}, "n is '3'; n must be an integer", id="string_n"),
+    pytest.param({"n": 3, "seed": 0.5}, "seed is 0.5; seed must be an integer",
+                 id="fractional_seed"),
+    pytest.param({"n": 3, "seed": False}, "seed is False; seed must be an integer",
+                 id="bool_seed"),
+    pytest.param({"n": 3, "seed": None}, "seed is None; seed must be an integer",
+                 id="null_seed"),
+])
+def test_instance_n_and_seed_must_be_integers(fields, reason, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(MODULAR_3, **fields)))
+    assert main(["solve", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err == "dsprism: cannot load instance %s: %s\n" % (path, reason)
+
+
+def test_instance_takes_integral_floats(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(MODULAR_3, n=3.0, seed=2.0)))
+    assert main(["solve", "--instance", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("optimal set [1, 2]  value -3 ")
+
+
+def test_solve_tabulates_each_oracle_once(tmp_path, monkeypatch):
+    n = 10
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "n": n, "f": {"type": "modular", "weights": [0.5 - 0.1 * i for i in range(n)]},
+        "g": {"type": "cut", "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}}))
+    seen = []
+
+    def spy(oracle):
+        seen.append(oracle.name)
+        return as_table(oracle)
+
+    for module in (cli, setfn, solver):
+        monkeypatch.setattr(module, "as_table", spy)
+    assert main(["solve", "--instance", str(path)]) == 0
+    assert [name for name in seen if not name.startswith("table(")] == ["modular", "cut"]
+
+
 # a modular pair above ENUM_CAP, and a pair whose g has the second
 # difference g({0, 1}) + g({}) - g({0}) - g({1}) = 3 > 0
 MODULAR_30 = {"n": 30, "f": {"type": "modular", "weights": [1.0] * 30},
@@ -171,6 +220,28 @@ NOT_SUBMODULAR = {"n": 2, "f": {"type": "modular", "weights": [1.0, -1.0]},
     pytest.param(["solve", NOT_SUBMODULAR], "side g of the instance is not submodular "
                  "(is_submodular at tol 1e-8); setfn.ds_decompose repairs the pair",
                  id="solve_g_not_submodular"),
+    # an output path is checked before the solve or experiment it records;
+    # a file the check creates is removed again
+    pytest.param(["solve", "--report", "missing/report.json"],
+                 "cannot write missing/report.json: No such file or directory",
+                 id="solve_report_in_missing_directory"),
+    pytest.param(["solve", "--report", "report.json", "--trace", "missing/trace.jsonl"],
+                 "cannot write missing/trace.jsonl: No such file or directory",
+                 id="solve_trace_in_missing_directory"),
+    pytest.param(["solve", "--trace", "trace.jsonl", "--report", "missing/report.json"],
+                 "cannot write missing/report.json: No such file or directory",
+                 id="solve_report_after_writable_trace"),
+    pytest.param(["baseline", "--method", "ssp", "--report", "missing/ssp.json"],
+                 "cannot write missing/ssp.json: No such file or directory",
+                 id="ssp_report_in_missing_directory"),
+    pytest.param(["baseline", "--method", "greedy", "--report", "missing/greedy.json"],
+                 "cannot write missing/greedy.json: No such file or directory",
+                 id="greedy_report_in_missing_directory"),
+    pytest.param(["bench", "--out", "missing/bench.csv"],
+                 "cannot write missing/bench.csv: No such file or directory",
+                 id="bench_out_in_missing_directory"),
+    pytest.param(["bench", "--out", "."], "cannot write .: Is a directory",
+                 id="bench_out_is_a_directory"),
 ])
 def test_bad_argument_exits_with_message(argv, reason, tmp_path, capsys, monkeypatch):
     # rejected before any solve, with a one-line reason and no traceback

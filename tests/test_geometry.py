@@ -7,6 +7,7 @@ from dsprism import geometry, setfn
 from dsprism.geometry import (CutPointError, DegenerateSimplexError, Polyhedron, Simplex,
                               add_cut, barycentric, binary_points, bisect,
                               initial_simplex, longest_edge, radial_subdivide, subdivide)
+from dsprism.numerics import lu_solve
 from dsprism.setfn import indicator
 from dsprism.solver import cutting_plane
 from helpers import contains, hyperplane_through, t_interval
@@ -367,8 +368,9 @@ def test_add_cut_cuts_a_point_once():
 
 
 def test_initial_simplex_inverse_in_closed_form():
-    # against the factorization of its vertices, bitwise: every anchor up to
-    # n = 6, the anchors 0 and 2^n - 1 and sampled ones up to n = 24
+    # lambda_i = sigma_i (x_i - a_i) / n at the vertex a + n sigma_i e_i and
+    # lambda_0 = 1 - sum(lambda_i): every anchor up to n = 6, the anchors 0
+    # and 2^n - 1 and sampled ones up to n = 24
     rng = np.random.default_rng(13)
     for n in range(1, 25):
         anchors = (range(1 << n) if n <= 6
@@ -380,5 +382,32 @@ def test_initial_simplex_inverse_in_closed_form():
             assert np.array_equal(S.vertices,
                                   np.array([apex] + [apex + n * sigma[i] * np.eye(n)[i]
                                                      for i in range(n)]))
-            assert S._minv.tobytes() == Simplex(S.vertices)._minv.tobytes()
+            expected = np.zeros((n + 1, n + 1))
+            expected[1:, :n] = np.diag(sigma / n)
+            expected[1:, n] = -sigma * apex / n
+            expected[0] = np.eye(n + 1)[n] - expected[1:].sum(axis=0)
+            assert np.max(np.abs(S._minv - expected)) <= 1e-15
             assert not S.vertices.flags.writeable and not S._minv.flags.writeable
+
+
+def test_simplex_inverse_agrees_with_the_lu_solve():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3, 5, 8, 12):
+        for _ in range(5):
+            S = random_simplex(n, rng)
+            M = np.vstack([S.vertices.T, np.ones(n + 1)])
+            ref = lu_solve(M, np.eye(n + 1))
+            assert np.max(np.abs(S._minv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("vertices, error, match", [
+    pytest.param([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]], ValueError,
+                 "vertices must be finite", id="nan"),
+    pytest.param([[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]], ValueError,
+                 "vertices must be finite", id="inf"),
+    pytest.param([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]],
+                 DegenerateSimplexError, "affinely dependent", id="collinear"),
+])
+def test_simplex_rejects_non_finite_or_collinear_vertices(vertices, error, match):
+    with pytest.raises(error, match=match):
+        Simplex(vertices)

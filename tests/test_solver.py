@@ -89,6 +89,16 @@ def test_config_rejects_limits_that_are_not_integers(field, bad):
     assert getattr(SolverConfig(**{field: np.int64(5)}), field) == 5
 
 
+def test_config_cannot_change_after_its_checks():
+    cfg = SolverConfig()
+    for field, value in (("max_iters", float("nan")), ("eps", -5.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+    assert cfg == SolverConfig()
+    with pytest.raises(ValueError, match="max_iters must be an integer, got nan"):
+        dataclasses.replace(cfg, max_iters=float("nan"))
+
+
 @pytest.mark.parametrize("v", [8, 2**40, -1, 1.5])
 def test_solve_rejects_initial_vertex_outside_cube(v):
     f, g = setfn.cut(3, [(0, 1, 1.0)]), setfn.modular([0.5, -0.5, 0.25])

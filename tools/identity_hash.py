@@ -90,9 +90,10 @@ def digests(max_n=MAX_N):
 
         for inst in instances:
             for max_iters in GRID_MAX_ITERS:
-                cfg = SolverConfig(initial_vertex=0 if anchor == "0" else (1 << inst.n) - 1)
+                kwargs = {"initial_vertex": 0 if anchor == "0" else (1 << inst.n) - 1}
                 if max_iters is not None:
-                    cfg.max_iters = max_iters
+                    kwargs["max_iters"] = max_iters
+                cfg = SolverConfig(**kwargs)
                 report = solve(inst.f, inst.g, cfg, observer=observer).to_dict()
                 del report["wall_time_ms"]
                 feed(full, report)
