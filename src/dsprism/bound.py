@@ -11,7 +11,8 @@ value (exact, since the Lovasz extension is), and ``add_cut`` evaluates
 each new cut once, at every point not cut yet, when it adds the cut.
 The levels t_i = ghat(v_i) + mu take any mu; the result hands the
 simplex's binary points back as one ascending mask array, from which the
-solver updates its incumbent and cuts.
+solver updates its incumbent and cuts, and names the witness by its mask
+and its row of the barycentric block, at which the solver splits.
 """
 
 from dataclasses import dataclass, field
@@ -36,9 +37,8 @@ class BoundResult:
     status: str
     beta: float
     c_star: float = None
-    witness_x: np.ndarray = None
-    witness_t: float = None
     witness_mask: int = None
+    witness_lam: np.ndarray = None  # the witness's barycentric row of the block product
     # masks of the binary points in the simplex, ascending; empty when infeasible
     feasible_points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     feasible_t_lo: np.ndarray = None  # per feasible point, lowest t in P
@@ -67,8 +67,7 @@ def solve_bound(S, P, levels, g):
     min_x(t_lo(x) - sum_i lambda_i ghat(v_i)) and the chord overestimates
     ghat at every x.
     """
-    grid = binary_points(S.n)
-    lam = barycentric(S, grid)
+    lam = barycentric(S, binary_points(S.n))
     # the least coordinate of each point, one column at a time: a reduction
     # along the short rows costs a numpy inner loop per point
     low = lam[:, 0].copy()
@@ -91,7 +90,7 @@ def solve_bound(S, P, levels, g):
     direct = float(np.min(t_lo - g.values(masks)))
     beta = mu if best_obj <= 0.0 else mu - best_obj
     beta = max(beta, direct)
-    return BoundResult(status=SOLVED, beta=beta, c_star=best_obj,
-                       witness_x=grid[mask].copy(), witness_t=float(t_lo[j]),
-                       witness_mask=mask, feasible_points=masks, feasible_t_lo=t_lo)
+    # a copy, so that an open node does not keep the whole block alive
+    return BoundResult(status=SOLVED, beta=beta, c_star=best_obj, witness_mask=mask,
+                       witness_lam=lam[mask].copy(), feasible_points=masks, feasible_t_lo=t_lo)
 

@@ -13,7 +13,6 @@ only into the binary points not cut yet.
 
 import numpy as np
 
-from .numerics import det
 from .setfn import indicator
 
 DEGENERACY_TOL = 1e-12
@@ -77,10 +76,6 @@ class Simplex:
         S._minv = _read_only(minv)
         return S
 
-    def volume_measure(self):
-        """|det| of the edge matrix (n! times the Euclidean volume)."""
-        return abs(det((self.vertices[1:] - self.vertices[0]).T))
-
     def __repr__(self):
         return "Simplex(n=%d)" % self.n
 
@@ -120,36 +115,36 @@ def longest_edge(S):
 
 
 def bisect(S):
-    """Longest-edge bisection; returns the two children covering S."""
-    i1, i2 = longest_edge(S)
+    """Longest-edge bisection: the two children covering S, as (i, C)
+    pairs with C the child whose vertex i is the edge's midpoint."""
+    edge = longest_edge(S)
     V = S.vertices
-    r = 0.5 * (V[i1] + V[i2])
+    r = 0.5 * (V[edge[0]] + V[edge[1]])
     lam = barycentric(S, r)
-    return S.replace_vertex(i1, r, lam), S.replace_vertex(i2, r, lam)
+    return [(i, S.replace_vertex(i, r, lam)) for i in edge]
 
 
 def radial_subdivide(S, r, lam):
     """Partition S by joining the point r, with barycentric coordinates lam
     and not a vertex of S, to the opposite facets.
 
-    Replaces each vertex carrying barycentric weight > RADIAL_TOL by r; the
-    resulting simplices cover S and overlap only on boundaries.
+    Replaces each vertex i carrying barycentric weight > RADIAL_TOL by r,
+    as (i, C) pairs; the simplices C cover S and overlap only on
+    boundaries.
     """
-    return [S.replace_vertex(int(i), r, lam) for i in np.nonzero(lam > RADIAL_TOL)[0]]
+    return [(i, S.replace_vertex(i, r, lam)) for i in np.nonzero(lam > RADIAL_TOL)[0].tolist()]
 
 
-def subdivide(S, r):
-    """Split S at its point r: the radial subdivision at r, whose children
-    all have r as a vertex, or the longest-edge bisection of S when r
-    already is a vertex (a barycentric weight >= 1 - 1e-9).
+def subdivide(S, r, lam):
+    """Split S at its point r, whose barycentric coordinates lam the
+    caller already has: the radial subdivision at r, whose children all
+    have r as a vertex, or the longest-edge bisection of S when r already
+    is a vertex (a barycentric weight >= 1 - 1e-9).
 
     Returns the children as (i, C) pairs: C is S with its vertex i replaced
     by the split point (r, or the midpoint of the longest edge), so C
     shares every other vertex with S."""
-    lam = barycentric(S, r)
-    if np.max(lam) >= 1.0 - 1e-9:
-        return list(zip(longest_edge(S), bisect(S)))
-    return list(zip(np.nonzero(lam > RADIAL_TOL)[0].tolist(), radial_subdivide(S, r, lam)))
+    return bisect(S) if np.max(lam) >= 1.0 - 1e-9 else radial_subdivide(S, r, lam)
 
 
 # n -> (binary_points(n), the same rows with a column of ones appended)
@@ -174,9 +169,8 @@ CHUNK_ENTRIES = 1 << 18
 
 
 def _fold_cuts(s, d, X, t_lo):
-    """max(t_lo, max_j s_j.x + d_j) at each row x of X, for the cuts (s, d);
-    t_lo is not modified."""
-    t_lo = t_lo.copy()
+    """t_lo raised in place to max(t_lo, max_j s_j.x + d_j) at each row x
+    of X, for the cuts (s, d); returns t_lo."""
     step = max(1, CHUNK_ENTRIES // max(1, len(X)))
     for j in range(0, len(d), step):
         val = s[j:j + step] @ X.T  # s.x, one row per cut
@@ -223,40 +217,35 @@ class Polyhedron:
         return "Polyhedron(rows=%d)" % self.num_rows
 
 
-def add_cut(P, cut_row, masks=None):
-    """P with the cut l(x, t) = s.x + c*t + d <= 0 appended; c must be -1,
-    so the cut reads t >= s.x + d.
+def add_cut(P, s, d, masks):
+    """P with the cuts t >= s_j.x + d_j appended, the cut j taken at the
+    binary point masks[j]: s of shape (k, n), d and masks of length k (or
+    one cut as s of shape (n,), a scalar d and one mask).
 
-    A block of cuts is s of shape (k, n) with c and d of length k.  masks,
-    when given, names the binary point each cut was taken at (one integer
-    mask per cut, in cut order); each cut must be tight there, as the
-    Lovasz-extension subgradients of ``solver.cutting_plane`` are.  The new
-    cuts are folded into t_lo at once: at the points not cut yet, and at
-    each new cut point as the larger of its value before and the cut's own
-    value s.z + d.  Cuts given without points are folded into every point.
-    A binary point is cut at most once: a mask outside the cube, given
-    twice or cut before raises CutPointError.
+    Each cut must be tight at its point, as the Lovasz-extension
+    subgradients of ``solver.cutting_plane`` are.  The new cuts are folded
+    into t_lo at once: at the points not cut yet, and at each new cut point
+    as the larger of its value before and the cut's own value s.z + d.  A
+    binary point is cut at most once: a mask outside the cube, given twice
+    or cut before raises CutPointError.
     """
-    s, c, d = (np.asarray(v, dtype=float) for v in cut_row)
-    if np.any(c != -1.0):
-        raise ValueError("a cut must have t-coefficient c = -1 (t >= s.x + d)")
+    s, d = np.asarray(s, dtype=float), np.asarray(d, dtype=float)
     n = P.domain.n
-    if masks is not None:
-        masks = np.atleast_1d(masks)
-        if masks.shape != (d.size,):
-            raise CutPointError("%d cut points given for %d cuts" % (masks.size, d.size))
-        if masks.dtype.kind not in "iu":
-            raise CutPointError("cut points must be integer masks, got %s" % masks.dtype)
-        outside = masks >> n  # nonzero for a negative mask or one >= 2^n
-        if outside.any():
-            raise CutPointError("cut point mask %d outside 0..%d"
-                                % (masks[outside != 0][0], (1 << n) - 1))
-        cut = P.cut.copy()
-        cut[masks] = True
-        if np.count_nonzero(cut) != np.count_nonzero(P.cut) + masks.size:
-            m = next(m for i, m in enumerate(masks.tolist()) if P.cut[m] or m in masks[:i])
-            raise CutPointError("cut point mask %d %s" % (m, "was cut before" if P.cut[m]
-                                                          else "given twice"))
+    masks = np.atleast_1d(masks)
+    if masks.shape != (d.size,):
+        raise CutPointError("%d cut points given for %d cuts" % (masks.size, d.size))
+    if masks.dtype.kind not in "iu":
+        raise CutPointError("cut points must be integer masks, got %s" % masks.dtype)
+    outside = masks >> n  # nonzero for a negative mask or one >= 2^n
+    if outside.any():
+        raise CutPointError("cut point mask %d outside 0..%d"
+                            % (masks[outside != 0][0], (1 << n) - 1))
+    cut = P.cut.copy()
+    cut[masks] = True
+    if np.count_nonzero(cut) != np.count_nonzero(P.cut) + masks.size:
+        m = next(m for i, m in enumerate(masks.tolist()) if P.cut[m] or m in masks[:i])
+        raise CutPointError("cut point mask %d %s" % (m, "was cut before" if P.cut[m]
+                                                      else "given twice"))
     Q = object.__new__(Polyhedron)
     Q.domain, Q.t_tilde = P.domain, P.t_tilde
     Q.s = _read_only(np.concatenate([P.s, s.reshape(-1, s.shape[-1])]))
@@ -264,9 +253,6 @@ def add_cut(P, cut_row, masks=None):
     # the new rows read back as contiguous float rows, whatever s's layout
     s, d = Q.s[len(P.d):], Q.d[len(P.d):]
     X = binary_points(n)
-    if masks is None:
-        Q.t_lo, Q.cut = _read_only(_fold_cuts(s, d, X, P.t_lo)), P.cut
-        return Q
     at = np.flatnonzero(~cut)
     t_lo = P.t_lo.copy()
     t_lo[at] = _fold_cuts(s, d, X[at], t_lo[at])

@@ -1,7 +1,7 @@
-"""Dense linear algebra: validated numpy.linalg calls for determinants,
-least squares and symmetric eigenvalues, and a hand-written LU factorization
-that only the tests call.  Least squares and eigenvalues take one matrix or a
-stack (..., rows, cols) of them, solved in one batched call.
+"""Dense linear algebra: validated numpy.linalg calls for least squares,
+symmetric eigenvalues and determinants, and a hand-written LU factorization;
+only the tests call the last two.  Least squares and eigenvalues take one
+matrix or a stack (..., rows, cols) of them, solved in one batched call.
 
 Square inputs are checked to be finite and at most MAX_DIM on a side.
 """

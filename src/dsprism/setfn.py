@@ -328,8 +328,10 @@ def gaussian_entropy(sigma):
 def table(n, values):
     """Explicit table of 2^n finite values, indexed by mask."""
     arr = np.array(values, dtype=float)
-    if arr.shape != (1 << n,):
-        raise ValueError("table must have exactly 2^n values")
+    # n is bounded before the shift: 1 << n of a huge n never returns
+    if not (1 <= n <= MASK_BITS and arr.shape == (1 << n,)):
+        raise ValueError("a table on n = %d elements needs n >= 1 and 2^n values, got %d values"
+                         % (n, arr.size))
     vals = arr.tolist()
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:

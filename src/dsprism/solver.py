@@ -13,7 +13,7 @@ import numpy as np
 from .bound import INFEASIBLE, solve_bound, vertex_levels
 from .geometry import (Polyhedron, Simplex, add_cut, binary_points, initial_simplex,
                        subdivide)
-from .setfn import (GroundSetError, as_table, brute_force_min, lovasz,
+from .setfn import (GroundSetError, as_table, brute_force_min, indicator, lovasz,
                     lovasz_subgradient, set_of)
 
 
@@ -71,24 +71,23 @@ class SolveReport:
         return asdict(self)
 
 
-def cutting_plane(f, x_star, t_star):
-    """Separating cut at an infeasible witness z = (x*, t*).
+def cutting_plane(f, masks, t_lo):
+    """Separating cuts at the binary points z named by masks, each with
+    the level t_lo below f(z).
 
-    Returns (s, c, d) encoding l(x, t) = s.x + c*t + d <= 0 with
-    l(z) = fhat(x*) - t* > 0 and l <= 0 on the whole epigraph region.
-    Given a (k, n) block of points x* and their k levels t*, returns one
-    cut per point: s of shape (k, n), c and d of length k.
+    Returns (s, d), s of shape (k, n) and d of length k, for the cuts
+    t >= s.x + d: Lovasz-extension subgradient planes, tight at their
+    points (s.z + d = f(z)), so each holds on the whole epigraph region
+    and cuts off (z, t_lo).
     """
-    x_star = np.asarray(x_star, dtype=float)
-    fhat = lovasz(f, x_star)
-    if np.any(fhat <= np.asarray(t_star) + FEAS_TOL):
+    fz = f.values(masks)
+    if np.any(fz <= t_lo + FEAS_TOL):
         raise ValueError("cutting plane requested at a feasible point")
-    s = lovasz_subgradient(f, x_star)
-    # one s.x per point through matmul, for a point as for a block (an
-    # einsum sums in another order and moves d in the last digits)
-    d = fhat - np.matmul(s[..., None, :], x_star[..., :, None])[..., 0, 0]
-    # [()] unwraps the 0-d array of a single point into a scalar
-    return s, np.full(np.shape(d), -1.0)[()], d
+    X = binary_points(f.n)[masks]
+    s = lovasz_subgradient(f, X)
+    # one s.x per point through matmul (an einsum sums in another order
+    # and moves d in the last digits)
+    return s, fz - np.matmul(s[:, None, :], X[:, :, None])[:, 0, 0]
 
 
 def _emit(observer, event, **data):
@@ -244,14 +243,13 @@ def solve(f, g, config=None, observer=None):
         need = ft.values(masks) > t_lo + FEAS_TOL
         masks, t_lo = masks[need], t_lo[need]
         if len(masks):
-            X = binary_points(n)[masks]
-            S_cut, c_cut, d_cut = cutting_plane(ft, X, t_lo)
-            P = add_cut(P, (S_cut, c_cut, d_cut), masks)
+            s, d = cutting_plane(ft, masks, t_lo)
+            P = add_cut(P, s, d, masks)
             cuts_added += len(masks)
             if observer is not None:
                 for j in range(len(masks)):
-                    _emit(observer, "cut", row=(S_cut[j], float(c_cut[j]), float(d_cut[j])),
-                          z=(X[j], t_lo[j]), violation=ft.table_values[masks[j]] - t_lo[j])
+                    _emit(observer, "cut", row=(s[j], float(d[j])), z=(int(masks[j]), t_lo[j]),
+                          violation=ft.table_values[masks[j]] - t_lo[j])
 
         # subdivide at the witness so it becomes a vertex of every child:
         # together with the cut this caps its bound contribution at
@@ -259,7 +257,7 @@ def solve(f, g, config=None, observer=None):
         # per branch and termination is finite (a witness that already is a
         # vertex gets longest-edge bisection); the split point is the one
         # new vertex, so ghat is evaluated there once for all children
-        split = subdivide(S, res.witness_x)
+        split = subdivide(S, indicator(res.witness_mask, n), res.witness_lam)
         i, C = split[0]
         g_split = lovasz(gt, C.vertices[i])
         children = []

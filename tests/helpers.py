@@ -1,7 +1,7 @@
 """Reference computations the tests check the package against.
 
-``contains`` and ``t_interval`` test a point against a simplex and read the
-polyhedron's t-range at one point; ``hyperplane_through`` and
+``contains``, ``volume_measure`` and ``t_interval`` test a point against a
+simplex, measure a simplex and read the polyhedron's t-range at one point; ``hyperplane_through`` and
 ``equivalence_check`` give the hyperplane form of the bound program.
 ``second_difference_by_pair`` and ``exhaustive_decompose`` are the per-pair
 and both-sides-checked forms of ``setfn._max_second_difference`` and
@@ -14,11 +14,17 @@ import numpy as np
 
 from dsprism import setfn
 from dsprism.geometry import MEMBERSHIP_TOL, barycentric, binary_points
+from dsprism.numerics import det
 
 
 def contains(S, x, tol=MEMBERSHIP_TOL):
     """True when every barycentric coordinate of x in S is >= -tol."""
     return bool(np.min(barycentric(S, x)) >= -tol)
+
+
+def volume_measure(S):
+    """|det| of the simplex's edge matrix (n! times its Euclidean volume)."""
+    return abs(det((S.vertices[1:] - S.vertices[0]).T))
 
 
 def t_interval(P, x, tol=1e-9):

@@ -17,7 +17,7 @@ from dsprism.geometry import barycentric, bisect, initial_simplex
 from dsprism.setfn import (as_table, brute_force_ds_min, indicator, lovasz,
                            lovasz_subgradient, mask_of)
 from dsprism.solver import solve
-from helpers import contains, equivalence_check, t_interval
+from helpers import contains, equivalence_check, t_interval, volume_measure
 
 
 def _report(num, name, ok, detail=""):
@@ -86,10 +86,11 @@ def test_criterion_2_worked_trace():
     root = nodes[0]["bound"]
     checks = [
         root.c_star == pytest.approx(1.0, abs=1e-12),
-        np.array_equal(root.witness_x, [1.0]) and root.witness_t == 0.0,
-        len(cuts) == 1,
-        np.array_equal(cuts[0]["row"][0], [1.0]),  # cut reads x - t <= 0
-        cuts[0]["row"][1] == -1.0 and cuts[0]["row"][2] == 0.0,
+        root.witness_mask == 1 and np.array_equal(root.feasible_points, [0, 1])
+        and root.feasible_t_lo[1] == 0.0,
+        len(cuts) == 1 and cuts[0]["z"] == (1, 0.0),
+        np.array_equal(cuts[0]["row"][0], [1.0]),  # cut reads t >= x
+        cuts[0]["row"][1] == 0.0,
         rep.deleted_dr2 == 2 and rep.iterations == 1,
         rep.optimal_set == [0] and rep.optimal_value == -1.0,
     ]
@@ -154,11 +155,11 @@ def test_criterion_4_cut_validity(instrumented_runs):
         n = ft.n
         for data in run["cuts"]:
             total += 1
-            s, c, d = data["row"]
-            x, t = data["z"]
-            if float(s @ x) + c * t + d <= 0.0:  # strict separation of z
+            s, d = data["row"]
+            z, t = data["z"]
+            if float(s @ indicator(z, n)) - t + d <= 0.0:  # strict separation of (z, t)
                 ok = False
-            worst = max(float(s @ indicator(m, n)) + c * ft(m) + d
+            worst = max(float(s @ indicator(m, n)) - ft(m) + d
                         for m in range(1 << n))
             if worst > 1e-9:
                 ok = False
@@ -246,9 +247,9 @@ def test_criterion_7_geometry():
     for _ in range(12):
         nxt = []
         for S in frontier:
-            A, B = bisect(S)
-            parent = S.volume_measure()
-            if abs(A.volume_measure() + B.volume_measure() - parent) > 1e-7 * parent:
+            (_, A), (_, B) = bisect(S)
+            parent = volume_measure(S)
+            if abs(volume_measure(A) + volume_measure(B) - parent) > 1e-7 * parent:
                 split_ok = False
             nxt.extend((A, B))
         frontier = nxt

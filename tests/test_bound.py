@@ -43,7 +43,8 @@ def test_vertex_levels_match_per_vertex_lovasz():
     n = 4
     g = setfn.table(n, rng.normal(size=1 << n))
     S0 = initial_simplex(n, 5)  # a binary apex and n vertices off the cube
-    for S in (S0, *bisect(S0), subdivide(S0, np.full(n, 0.5))[0][1]):
+    r = np.full(n, 0.5)
+    for S in (S0, *[C for _, C in bisect(S0)], subdivide(S0, r, barycentric(S0, r))[0][1]):
         levels = levels_at(S, -0.25, g)
         assert np.array_equal(levels.t, [lovasz(g, v) - 0.25 for v in S.vertices])
 
@@ -54,9 +55,8 @@ def test_solve_bound_worked_example():
     res = solve_bound(S, P, levels, g)
     assert res.status == SOLVED
     assert res.c_star == pytest.approx(1.0)
-    assert np.array_equal(res.witness_x, [1.0])
-    assert res.witness_t == pytest.approx(0.0)
     assert res.witness_mask == 1
+    assert np.array_equal(res.witness_lam, [0.0, 1.0])  # x = 1 is S's second vertex
     # hyperplane bound mu - c* = -2 coincides with the direct bound here
     assert res.beta == pytest.approx(-2.0)
     assert res.feasible_points.dtype == np.int64
@@ -67,7 +67,7 @@ def test_solve_bound_worked_example():
 def test_solve_bound_after_cut_closes():
     # the cut x - t <= 0 lifts t_lo(1) to f(1); c* drops to 0
     f, g, S, P = worked_instance()
-    P = add_cut(P, (np.array([1.0]), -1.0, 0.0))
+    P = add_cut(P, np.array([1.0]), 0.0, 1)
     levels = levels_at(S, -1.0, g)
     res = solve_bound(S, P, levels, g)
     assert res.c_star == pytest.approx(0.0)
@@ -86,7 +86,7 @@ def test_bound_monotone_in_polyhedron():
     for mask in (1, 3, 5):
         x = indicator(mask, n)
         s = lovasz_subgradient(f, x)
-        P = add_cut(P, (s, -1.0, lovasz(f, x) - float(s @ x)))
+        P = add_cut(P, s, lovasz(f, x) - float(s @ x), mask)
         cur = solve_bound(S, P, levels, g).beta
         assert cur >= prev - 1e-12
         prev = cur
@@ -143,9 +143,11 @@ def assert_same_bound(a, b):
     assert np.array_equal(a.feasible_t_lo, b.feasible_t_lo)
 
 
-def fresh_copy(P):
-    """P rebuilt in one piece: the same floor and cuts added as one block."""
-    return add_cut(Polyhedron(P.domain, P.t_tilde), (P.s, -np.ones(len(P.d)), P.d))
+def fresh_copy(P, masks):
+    """P rebuilt in one piece: the same floor and cuts, taken at masks in
+    cut order, added as one block."""
+    return add_cut(Polyhedron(P.domain, P.t_tilde), P.s, P.d,
+                   np.array(masks[:len(P.d)], dtype=np.int64))
 
 
 def test_solve_bound_on_grown_polyhedron_matches_fresh():
@@ -160,18 +162,19 @@ def test_solve_bound_on_grown_polyhedron_matches_fresh():
     levels = {T: levels_at(T, 0.0, g) for T in (S, sub)}
     P = Polyhedron(S, t_tilde=-3.0)
     grown = [P]
-    for mask in (3, 5, 6, 9, 12, 15):
+    cut_at = [3, 5, 6, 9, 12, 15]
+    for mask in cut_at:
         x = indicator(mask, n)
         s = lovasz_subgradient(f, x)
-        P = add_cut(P, (s, -1.0, lovasz(f, x) - float(s @ x)))
+        P = add_cut(P, s, lovasz(f, x) - float(s @ x), mask)
         grown.append(P)
         for T in (S, sub):
             assert_same_bound(solve_bound(T, P, levels[T], g),
-                              solve_bound(T, fresh_copy(P), levels[T], g))
+                              solve_bound(T, fresh_copy(P, cut_at), levels[T], g))
     for Q in (grown[2], grown[-1], grown[0], grown[-1]):
         for T in (S, sub):
             assert_same_bound(solve_bound(T, Q, levels[T], g),
-                              solve_bound(T, fresh_copy(Q), levels[T], g))
+                              solve_bound(T, fresh_copy(Q, cut_at), levels[T], g))
 
 
 def test_solve_bound_matches_row_wise_reference_bitwise():
@@ -185,12 +188,12 @@ def test_solve_bound_matches_row_wise_reference_bitwise():
         for masks in np.array_split(rng.permutation(1 << n)[:(1 << n) // 2], 4):
             X = binary_points(n)[masks]
             s = lovasz_subgradient(f, X)
-            P = add_cut(P, (s, -np.ones(len(masks)), f.values(masks) - np.sum(s * X, axis=1)),
-                        masks)
+            P = add_cut(P, s, f.values(masks) - np.sum(s * X, axis=1), masks)
         simplices = [initial_simplex(n)]
         for _ in range(12):
-            simplices += [C for _, C in subdivide(simplices[int(rng.integers(len(simplices)))],
-                                                  rng.uniform(0.0, 1.0, size=n))]
+            S = simplices[int(rng.integers(len(simplices)))]
+            r = rng.uniform(0.0, 1.0, size=n)
+            simplices += [C for _, C in subdivide(S, r, barycentric(S, r))]
         for S in simplices:
             levels = levels_at(S, float(rng.normal()), g)
             res = solve_bound(S, P, levels, g)

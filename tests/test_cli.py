@@ -136,6 +136,18 @@ def test_instance_n_and_seed_must_be_integers(fields, reason, tmp_path, capsys):
     assert capsys.readouterr().err == "dsprism: cannot load instance %s: %s\n" % (path, reason)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1e18], ids=["negative", "zero", "huge"])
+def test_table_instance_n_must_give_its_value_count(n, tmp_path, capsys):
+    # n is checked before 2^n is formed: no shift of a negative or huge n
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": n, "f": {"type": "table", "values": [0.0, 1.0]},
+                                "g": {"type": "table", "values": [0.0, 2.0]}}))
+    assert main(["solve", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "dsprism: cannot load instance %s: a table on n = %d elements needs n >= 1 "
+        "and 2^n values, got 2 values\n" % (path, n))
+
+
 def test_instance_takes_integral_floats(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(dict(MODULAR_3, n=3.0, seed=2.0)))

@@ -10,7 +10,7 @@ from dsprism.geometry import (CutPointError, DegenerateSimplexError, Polyhedron,
 from dsprism.numerics import lu_solve
 from dsprism.setfn import indicator
 from dsprism.solver import cutting_plane
-from helpers import contains, hyperplane_through, t_interval
+from helpers import contains, hyperplane_through, t_interval, volume_measure
 
 
 def random_simplex(n, rng):
@@ -90,9 +90,9 @@ def test_bisect_partitions_volume():
     rng = np.random.default_rng(2)
     for n in (2, 3, 5):
         S = random_simplex(n, rng)
-        A, B = bisect(S)
-        assert A.volume_measure() + B.volume_measure() == pytest.approx(
-            S.volume_measure(), rel=1e-9)
+        (_, A), (_, B) = bisect(S)
+        assert volume_measure(A) + volume_measure(B) == pytest.approx(
+            volume_measure(S), rel=1e-9)
         assert max(edge_length(A), edge_length(B)) <= edge_length(S) + 1e-12
 
 
@@ -100,7 +100,7 @@ def test_bisection_shrinks_edges():
     # repeated longest-edge bisection is exhaustive: diameters go to zero
     S = initial_simplex(2)
     for _ in range(50):
-        S, _ = bisect(S)
+        S = bisect(S)[0][1]
     assert edge_length(S) < 1e-6
 
 
@@ -124,10 +124,11 @@ def test_radial_subdivide_partitions_and_makes_vertex():
         S = random_simplex(n, rng)
         lam = rng.dirichlet(np.ones(n + 1))
         r = lam @ S.vertices
-        parts = radial_subdivide(S, r, barycentric(S, r))
-        assert len(parts) == n + 1
-        total = sum(p.volume_measure() for p in parts)
-        assert total == pytest.approx(S.volume_measure(), rel=1e-8)
+        split = radial_subdivide(S, r, barycentric(S, r))
+        assert [i for i, _ in split] == list(range(n + 1))
+        parts = [C for _, C in split]
+        total = sum(volume_measure(p) for p in parts)
+        assert total == pytest.approx(volume_measure(S), rel=1e-8)
         for p in parts:
             assert any(np.allclose(v, r, atol=1e-12) for v in p.vertices)
 
@@ -152,8 +153,8 @@ def test_subdivide_bisects_at_a_vertex_and_splits_radially_elsewhere():
         for S in (random_simplex(n, rng), initial_simplex(n, 1)):
             # at every vertex: exactly the longest-edge bisection
             for v in S.vertices:
-                split = subdivide(S, v)
-                assert _same_simplices([C for _, C in split], bisect(S))
+                split = subdivide(S, v, barycentric(S, v))
+                assert _same_simplices([C for _, C in split], [C for _, C in bisect(S)])
                 assert [i for i, _ in split] == list(longest_edge(S))
                 assert_replaced(S, split, 0.5 * (S.vertices[split[0][0]]
                                                  + S.vertices[split[1][0]]))
@@ -166,15 +167,15 @@ def test_subdivide_bisects_at_a_vertex_and_splits_radially_elsewhere():
                     continue
                 lam /= lam.sum()
                 r = lam @ S.vertices
-                split = subdivide(S, r)
+                split = subdivide(S, r, barycentric(S, r))
                 assert_replaced(S, split, r)
                 parts = [C for _, C in split]
                 assert len(parts) == np.count_nonzero(lam)
-                assert not _same_simplices(parts, bisect(S))
+                assert not _same_simplices(parts, [C for _, C in bisect(S)])
                 for p in parts:
                     assert any(np.allclose(v, r, atol=1e-12) for v in p.vertices)
-                total = sum(p.volume_measure() for p in parts)
-                assert total == pytest.approx(S.volume_measure(), rel=1e-8)
+                total = sum(volume_measure(p) for p in parts)
+                assert total == pytest.approx(volume_measure(S), rel=1e-8)
 
 
 def test_hyperplane_through():
@@ -188,7 +189,7 @@ def test_hyperplane_through():
 def test_polyhedron_t_interval():
     # domain [0, 1] as a 1-simplex, floor t >= 0, cut t >= x0 - 0.25
     S = Simplex(np.array([[0.0], [1.0]]))
-    P = add_cut(Polyhedron(S, t_tilde=0.0), (np.array([1.0]), -1.0, -0.25))
+    P = add_cut(Polyhedron(S, t_tilde=0.0), np.array([1.0]), -0.25, 1)
     assert t_interval(P, np.array([0.5])) == (pytest.approx(0.25), np.inf)
     assert t_interval(P, np.array([0.1])) == (0.0, np.inf)  # the floor binds
     assert t_interval(P, np.array([2.0])) is None
@@ -211,23 +212,23 @@ def test_add_cut_appends_row():
     S = initial_simplex(2)
     P = Polyhedron(S, t_tilde=0.0)
     rows = P.num_rows
-    P2 = add_cut(P, (np.array([1.0, 0.0]), -1.0, 0.25))
+    P2 = add_cut(P, np.array([1.0, 0.0]), 0.25, 0)
     assert P2.num_rows == rows + 1
     assert P.num_rows == rows  # original untouched
     assert P2.d[-1] == 0.25
 
 
-@pytest.mark.parametrize("c", [0.0, 1.0, -2.0, [-1.0, 0.5]])
-def test_add_cut_rejects_t_coefficient_other_than_minus_one(c):
-    P = Polyhedron(initial_simplex(2), t_tilde=0.0)
-    k = np.size(c)
-    with pytest.raises(ValueError, match="c = -1"):
-        add_cut(P, (np.ones((k, 2)), np.asarray(c), np.zeros(k)))
-    assert P.num_rows == 1 and len(P.d) == 0
-
-
 def random_cuts(n, k, rng):
-    return rng.normal(size=(k, n)), -np.ones(k), rng.normal(size=k)
+    return rng.normal(size=(k, n)), rng.normal(size=k)
+
+
+CUT_4 = setfn.as_table(setfn.cut(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.8), (0, 3, 0.3)]))
+
+
+def tight(f, masks):
+    """Lovasz subgradient cuts of f at masks, tight at their points."""
+    masks = np.asarray(masks)
+    return cutting_plane(f, masks, f.table_values[masks] - 1.0)
 
 
 def kelley(Q):
@@ -238,11 +239,11 @@ def kelley(Q):
 
 def test_add_cut_twice_on_same_polyhedron_is_independent():
     rng = np.random.default_rng(6)
-    P = add_cut(Polyhedron(initial_simplex(3), t_tilde=-1.0), random_cuts(3, 3, rng))
+    P = add_cut(Polyhedron(initial_simplex(3), t_tilde=-1.0), *random_cuts(3, 3, rng), [0, 1, 2])
     s, d = P.s.copy(), P.d.copy()
-    S, c, dd = random_cuts(3, 2, rng)
-    P1 = add_cut(P, (S[0], c[0], dd[0]))
-    P2 = add_cut(P, (S[1], c[1], dd[1]))
+    S, dd = random_cuts(3, 2, rng)
+    P1 = add_cut(P, S[0], dd[0], 3)
+    P2 = add_cut(P, S[1], dd[1], 4)
     for Q, j in ((P1, 0), (P2, 1)):
         assert Q.num_rows == P.num_rows + 1
         assert np.array_equal(Q.s[:-1], s) and np.array_equal(Q.d[:-1], d)
@@ -256,23 +257,29 @@ def test_add_cut_twice_on_same_polyhedron_is_independent():
 
 
 def test_branched_polyhedra_fold_only_their_own_cuts():
-    rng = np.random.default_rng(9)
-    n = 3
-    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=-1.0), random_cuts(n, 4, rng))
-    P1 = add_cut(P, random_cuts(n, 2, rng))
-    P2 = add_cut(add_cut(P, random_cuts(n, 1, rng)), random_cuts(n, 3, rng))
+    # tight cuts, as the solver adds: no later cut rises above one at its
+    # point, so t_lo is Kelley's value there too
+    f = CUT_4
+    P = add_cut(Polyhedron(initial_simplex(4), t_tilde=-1.0), *tight(f, [1, 4, 8, 11]),
+                [1, 4, 8, 11])
+    P1 = add_cut(P, *tight(f, [2, 13]), [2, 13])
+    P2 = add_cut(add_cut(P, *tight(f, [0]), [0]), *tight(f, [6, 7, 15]), [6, 7, 15])
     for Q in (P2, P1, P):
         assert np.allclose(Q.t_lo, kelley(Q), rtol=0.0, atol=1e-12)
 
 
 def test_block_add_cut_equals_rows_one_at_a_time():
     rng = np.random.default_rng(7)
-    P = Polyhedron(initial_simplex(4), t_tilde=0.0)
-    S, c, d = random_cuts(4, 37, rng)
+    n = 6
+    f = setfn.as_table(setfn.cut(n, [(i, j, rng.uniform(0.1, 1.0)) for i in range(n)
+                                     for j in range(i + 1, n) if rng.random() < 0.6]))
+    P = Polyhedron(initial_simplex(n), t_tilde=0.0)
+    masks = rng.choice(1 << n, size=37, replace=False)
+    S, d = tight(f, masks)
     one = P
     for j in range(len(d)):
-        one = add_cut(one, (S[j], c[j], d[j]))
-    block = add_cut(P, (S, c, d))
+        one = add_cut(one, S[j], d[j], masks[j])
+    block = add_cut(P, S, d, masks)
     assert block.num_rows == one.num_rows == P.num_rows + 37
     for name in ("s", "d"):
         assert np.array_equal(getattr(block, name), getattr(one, name))
@@ -283,8 +290,10 @@ def test_block_add_cut_equals_rows_one_at_a_time():
 def test_binary_bounds_match_t_interval():
     rng = np.random.default_rng(8)
     n = 3
+    f = setfn.as_table(setfn.cut(n, [(0, 1, 0.7), (1, 2, 0.4), (0, 2, 0.9)]))
     P = Polyhedron(initial_simplex(n, v_mask=5), t_tilde=-2.0)
-    P = add_cut(P, random_cuts(n, 6, rng))
+    masks = rng.choice(1 << n, size=6, replace=False)
+    P = add_cut(P, *tight(f, masks), masks)
     t_lo = P.t_lo
     for m, x in enumerate(binary_points(n)):
         assert t_interval(P, x) == (pytest.approx(t_lo[m], abs=1e-12), np.inf)
@@ -294,25 +303,20 @@ def test_binary_bounds_match_t_interval():
 
 def own_values(cuts, masks):
     """Each cut's value s.z + d at the binary point z it was taken at."""
-    S, _, d = cuts
+    S, d = cuts
     Z = binary_points(S.shape[1])[masks]
     return np.matmul(S[:, None, :], Z[:, :, None])[:, 0, 0] + d
 
 
 def test_cut_points_are_final_and_kept_per_branch():
     n = 4
-    f = setfn.as_table(setfn.cut(n, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.8), (0, 3, 0.3)]))
-    X = binary_points(n)
-
-    def tight(masks):  # Lovasz subgradient cuts, tight at their points
-        return cutting_plane(f, X[masks], f.table_values[masks] - 1.0)
-
+    f = CUT_4
     A, B1, B2a, B2b = [3, 5], [6, 9, 12], [10], [7, 15]
-    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=-1.0), tight(A), A)
+    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=-1.0), *tight(f, A), A)
     base = P.t_lo
-    P1 = add_cut(P, tight(B1), B1)
-    P2 = add_cut(add_cut(P, tight(B2a), B2a), tight(B2b), B2b)  # two steps
-    own = {m: v for ms in (A, B1, B2a, B2b) for m, v in zip(ms, own_values(tight(ms), ms))}
+    P1 = add_cut(P, *tight(f, B1), B1)
+    P2 = add_cut(add_cut(P, *tight(f, B2a), B2a), *tight(f, B2b), B2b)  # two steps
+    own = {m: v for ms in (A, B1, B2a, B2b) for m, v in zip(ms, own_values(tight(f, ms), ms))}
     for Q, cut_at in ((P2, A + B2a + B2b), (P1, A + B1), (P, A)):
         t_lo = Q.t_lo
         # its own cuts only: Kelley's value over Q's cuts, to rounding
@@ -323,16 +327,14 @@ def test_cut_points_are_final_and_kept_per_branch():
         assert np.all(t_lo <= f.table_values + 1e-12)
     # a later cut that lies above every point (no valid cut does) raises
     # exactly the points its branch has not cut
-    high = (np.zeros((1, n)), -np.ones(1), np.full(1, 10.0))
+    high = (np.zeros((1, n)), np.full(1, 10.0))
     for Q, cut_at in ((P1, A + B1), (P2, A + B2a + B2b)):
-        t_lo = add_cut(Q, high, [0]).t_lo
+        t_lo = add_cut(Q, *high, [0]).t_lo
         uncut = np.setdiff1d(np.arange(1 << n), cut_at)
         assert np.array_equal(t_lo[cut_at], Q.t_lo[cut_at])
         assert np.all(t_lo[uncut] == 10.0)
-    # cuts given without points still fold everywhere, cut points included,
     # and a cut point keeps a higher t_lo it already had
-    assert np.all(add_cut(P1, high).t_lo == 10.0)
-    assert add_cut(add_cut(P1, high), tight([0]), [0]).t_lo[0] == 10.0
+    assert add_cut(add_cut(P1, *high, [1]), *tight(f, [0]), [0]).t_lo[0] == 10.0
 
 
 @pytest.mark.parametrize("masks, match", [
@@ -348,7 +350,7 @@ def test_add_cut_rejects_invalid_cut_points(masks, match, monkeypatch):
     folds = []
     monkeypatch.setattr(geometry, "_fold_cuts", lambda *args: folds.append(args))
     with pytest.raises(CutPointError, match=match):
-        add_cut(P, random_cuts(4, 2, np.random.default_rng(11)), masks)
+        add_cut(P, *random_cuts(4, 2, np.random.default_rng(11)), masks)
     assert folds == [] and P.num_rows == 1
 
 
@@ -357,13 +359,13 @@ def test_add_cut_cuts_a_point_once():
     # and the refused call changes nothing
     n = 4
     rng = np.random.default_rng(12)
-    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=0.0), random_cuts(n, 2, rng), [3, 5])
+    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=0.0), *random_cuts(n, 2, rng), [3, 5])
     for masks, match in (([7, 5], "mask 5 was cut before"), ([3], "mask 3 was cut before"),
                          ([9, 9], "mask 9 given twice"), ([8, 9, 8], "mask 8 given twice")):
         with pytest.raises(CutPointError, match=match):
-            add_cut(P, random_cuts(n, len(masks), rng), masks)
+            add_cut(P, *random_cuts(n, len(masks), rng), masks)
     assert P.num_rows == 3 and np.array_equal(np.flatnonzero(P.cut), [3, 5])
-    Q = add_cut(P, random_cuts(n, 1, rng), np.uint64(9))  # one cut at a scalar mask
+    Q = add_cut(P, *random_cuts(n, 1, rng), np.uint64(9))  # one cut at a scalar mask
     assert np.array_equal(np.flatnonzero(Q.cut), [3, 5, 9])
 
 

@@ -120,40 +120,40 @@ def test_solve_rejects_non_finite_oracle_values(bad):
 
 def test_cutting_plane_worked_example():
     f = setfn.table(1, [0.0, 1.0])
-    s, c, d = cutting_plane(f, np.array([1.0]), 0.0)
-    assert np.allclose(s, [1.0]) and c == -1.0 and d == pytest.approx(0.0)
-    # l(x, t) = x - t: zero at both epigraph points (0,0) and (1,1)
-    assert float(s @ [0.0]) - 0.0 + d <= 1e-12
-    assert float(s @ [1.0]) - 1.0 + d <= 1e-12
+    s, d = cutting_plane(f, np.array([1]), np.array([0.0]))
+    assert np.allclose(s, [[1.0]]) and d == pytest.approx([0.0])
+    # t >= x: tight at both epigraph points (0,0) and (1,1)
+    assert float(s[0] @ [0.0]) + d[0] - 0.0 <= 1e-12
+    assert float(s[0] @ [1.0]) + d[0] - 1.0 <= 1e-12
 
 
 def test_cutting_plane_modular_reduces_to_epigraph_facet():
     w = np.array([0.5, -1.0, 2.0])
     f = setfn.modular(w)
-    x_star = np.array([0.25, 0.75, 0.5])
-    s, c, d = cutting_plane(f, x_star, float(w @ x_star) - 1.0)
-    assert np.allclose(s, w)
-    assert d == pytest.approx(0.0, abs=1e-12)
+    masks = np.arange(8)
+    s, d = cutting_plane(f, masks, f.values(masks) - 1.0)
+    assert np.allclose(s, w) and np.allclose(d, 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_cutting_plane_rejects_feasible_point():
     f = setfn.table(1, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        cutting_plane(f, np.array([1.0]), 1.0)
+    with pytest.raises(ValueError, match="feasible"):
+        cutting_plane(f, np.array([1]), np.array([1.0]))
 
 
 def test_cut_validity_on_all_subsets():
-    # Proposition-2 style check: l(z) > 0 and l(I_A, f(A)) <= 0 for all A
+    # Proposition-2 style check: each cut separates its point (z, t), with
+    # s.z + d - t > 0, and s.I_A + d <= f(A) for all A
     rng = np.random.default_rng(0)
     f = as_table(setfn.coverage(4, rng.uniform(0.5, 1.0, 8),
                                 [[0, 1], [1, 2, 3], [4, 5], [5, 6, 7]]))
-    for _ in range(20):
-        x = rng.uniform(0.0, 1.0, size=4)
-        t = lovasz(f, x) - rng.uniform(0.1, 1.0)
-        s, c, d = cutting_plane(f, x, t)
-        assert float(s @ x) + c * t + d > 0
-        for m in range(16):
-            assert float(s @ indicator(m, 4)) + c * f(m) + d <= 1e-9
+    X = binary_points(4)
+    masks = rng.permutation(16)
+    t = f.values(masks) - rng.uniform(0.1, 1.0, size=16)
+    s, d = cutting_plane(f, masks, t)
+    for j, m in enumerate(masks):
+        assert float(s[j] @ X[m]) + d[j] - t[j] > 0
+        assert np.all(X @ s[j] + d[j] - f.table_values <= 1e-9)
 
 
 def test_block_cutting_planes_match_single_point_cuts():
@@ -163,20 +163,17 @@ def test_block_cutting_planes_match_single_point_cuts():
                                       [[0, 1], [1, 2, 3], [4, 5], [5, 6, 7], [8], [0, 8]])),
               setfn.table(n, rng.normal(size=1 << n))):
         masks = rng.permutation(1 << n)[:40]
-        for X in (binary_points(n)[masks], rng.uniform(0.0, 1.0, size=(40, n))):
-            t = lovasz(f, X) - rng.uniform(0.1, 1.0, size=len(X))
-            S, c, d = cutting_plane(f, X, t)
-            assert S.shape == X.shape and c.shape == d.shape == (len(X),)
-            for j in range(len(X)):
-                s1, c1, d1 = cutting_plane(f, X[j], t[j])
-                assert np.array_equal(S[j], s1) and c[j] == c1 == -1.0 and d[j] == d1
-        # tight at its own binary point: l(I_A, f(A)) = 0
+        t = f.values(masks) - rng.uniform(0.1, 1.0, size=len(masks))
+        S, d = cutting_plane(f, masks, t)
+        assert S.shape == (len(masks), n) and d.shape == (len(masks),)
         X = binary_points(n)[masks]
-        S, c, d = cutting_plane(f, X, f.table_values[masks] - 1.0)
         for j, m in enumerate(masks):
-            assert abs(float(S[j] @ X[j]) + c[j] * f(int(m)) + d[j]) <= 1e-12
+            s1, d1 = cutting_plane(f, masks[j:j + 1], t[j:j + 1])
+            assert np.array_equal(S[j], s1[0]) and d[j] == d1[0]
+            # tight at its own binary point: s.I_A + d = f(A)
+            assert abs(float(S[j] @ X[j]) + d[j] - f(int(m))) <= 1e-12
     with pytest.raises(ValueError, match="feasible"):
-        cutting_plane(f, X[:2], f.table_values[masks[:2]])
+        cutting_plane(f, masks[:2], f.table_values[masks[:2]])
 
 
 def test_cut_minus_modular_n12_memory():
@@ -294,7 +291,6 @@ def test_no_binary_point_is_cut_twice():
     # a selected node's bound is refreshed against the grown polyhedron, so a
     # point cut before has t_lo = f there and is never separated again
     for n in range(3, 9):
-        weights = 1 << np.arange(n)
         for family in FAMILIES:
             inst = gen_random_ds(n, family, 0)
             for v in (0, (1 << n) - 1):
@@ -304,7 +300,7 @@ def test_no_binary_point_is_cut_twice():
 
                     def observer(event, data, cut_at=cut_at):
                         if event == "cut":
-                            cut_at.append(int(data["z"][0] @ weights))
+                            cut_at.append(data["z"][0])
 
                     rep = solve(inst.f, inst.g, cfg, observer=observer)
                     assert len(set(cut_at)) == len(cut_at) == rep.cuts_added
@@ -343,7 +339,6 @@ def test_limits_certify_the_gap_and_no_point_is_cut_twice(paper_search, monkeypa
               + [{"max_nodes": m} for m in (1, 2, 4, 8)])
     ends = {}
     for n in range(2, 7):
-        weights = 1 << np.arange(n)
         for family in FAMILIES:
             for seed in range(7):
                 inst = gen_random_ds(n, family, seed)
@@ -355,7 +350,7 @@ def test_limits_certify_the_gap_and_no_point_is_cut_twice(paper_search, monkeypa
 
                     def observer(event, data):
                         if event == "cut":
-                            cut_at.append(int(data["z"][0] @ weights))
+                            cut_at.append(data["z"][0])
 
                     rep = solve(f, g, SolverConfig(**limit), observer=observer)
                     ends[rep.termination_reason] = ends.get(rep.termination_reason, 0) + 1
@@ -375,7 +370,6 @@ def test_binary_t_lo_of_solver_polyhedra():
     checked = 0
     for n in range(3, 9):
         X = binary_points(n)
-        weights = 1 << np.arange(n)
         for family in FAMILIES:
             inst = gen_random_ds(n, family, 0)
             f = as_table(inst.f).table_values
@@ -386,10 +380,10 @@ def test_binary_t_lo_of_solver_polyhedra():
                     if event == "node_bound":
                         polyhedra[id(data["polyhedron"])] = data["polyhedron"]
                     elif event == "cut":
-                        s, _, d = data["row"]
-                        z = data["z"][0]
-                        own = np.matmul(s[None, None, :], z[None, :, None])[0, 0, 0] + d
-                        cuts.append((int(z @ weights), own))
+                        s, d = data["row"]
+                        m = data["z"][0]
+                        own = np.matmul(s[None, None, :], X[m][None, :, None])[0, 0, 0] + d
+                        cuts.append((m, own))
 
                 solve(inst.f, inst.g, SolverConfig(initial_vertex=v), observer=observer)
                 for P in polyhedra.values():
@@ -447,3 +441,23 @@ def test_node_levels_are_ghat_at_the_vertices_bitwise(monkeypatch):
                         assert lv.t.tobytes() == want.tobytes()
                     events += len(levels)
     assert bisections and events > 500
+
+
+def test_the_split_reuses_the_witness_lambda_bitwise(monkeypatch):
+    # a radial split takes the witness's barycentric row of the bound
+    # program's block product: a product at the point alone (gemv against
+    # gemm) can differ from it in the last bits
+    splits = []
+    radial = geometry.radial_subdivide
+    monkeypatch.setattr(geometry, "radial_subdivide",
+                        lambda S, r, lam: splits.append((S, r, lam)) or radial(S, r, lam))
+    for n in range(2, 9):
+        for family in FAMILIES:
+            for seed in range(3):
+                inst = gen_random_ds(n, family, seed)
+                for anchor in (0, (1 << n) - 1):
+                    solve(inst.f, inst.g, SolverConfig(initial_vertex=anchor))
+    moved = [(S.n, r) for S, r, lam in splits
+             if lam.tobytes() != barycentric(S, binary_points(S.n))[
+                 setfn.mask_of(np.flatnonzero(r).tolist())].tobytes()]
+    assert len(splits) > 100 and moved == []
