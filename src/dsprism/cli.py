@@ -6,6 +6,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .baselines import greedy, ssp
 from .experiments import (CORPUS_MAX_N, FAMILIES, FsInstanceSpec, bench_to_csv,
                           load_instance, run_bench, verify_corpus)
@@ -70,7 +72,11 @@ def _cmd_solve(args):
     # the cuts and bounds hold for submodular sides only; checked here, at
     # O(n^2 2^n) per side, and not in every solve, on the tables the solve
     # then takes, so each oracle is tabulated once
-    ft, gt = as_table(inst.f), as_table(inst.g)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            ft, gt = as_table(inst.f), as_table(inst.g)
+    except (FloatingPointError, ValueError) as exc:
+        return _fail("cannot evaluate instance %s: %s" % (args.instance, exc))
     for side, t in (("f", ft), ("g", gt)):
         if not is_submodular(t, tol=1e-8):
             return _fail("side %s of the instance is not submodular (is_submodular at "
@@ -104,13 +110,17 @@ def _cmd_baseline(args):
                          % ((1 << inst.n) - 1, args.init))
     if _unwritable(args.report):
         return 1
-    if args.method == "ssp":
-        out = ssp(inst.f, inst.g, init=args.init, seed=args.seed)
-        payload = {"method": "ssp", "set": set_of(out.mask), "value": out.value,
-                   "iterations": out.iterations, "seed": args.seed, "init": args.init}
-    else:
-        mask, value = greedy(inst.f, inst.g)
-        payload = {"method": "greedy", "set": set_of(mask), "value": value}
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.method == "ssp":
+                out = ssp(inst.f, inst.g, init=args.init, seed=args.seed)
+                payload = {"method": "ssp", "set": set_of(out.mask), "value": out.value,
+                           "iterations": out.iterations, "seed": args.seed, "init": args.init}
+            else:
+                mask, value = greedy(inst.f, inst.g)
+                payload = {"method": "greedy", "set": set_of(mask), "value": value}
+    except (FloatingPointError, ValueError) as exc:
+        return _fail("cannot evaluate instance %s: %s" % (args.instance, exc))
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -180,8 +180,8 @@ def _fold_cuts(s, d, X, t_lo):
 
 
 class CutPointError(ValueError):
-    """Cut points that are not one binary point per cut, each distinct and
-    not cut before."""
+    """Cuts whose s is not one row of n per d, or cut points that are not
+    one binary point per cut, each distinct and not cut before."""
 
 
 class Polyhedron:
@@ -227,10 +227,12 @@ def add_cut(P, s, d, masks):
     into t_lo at once: at the points not cut yet, and at each new cut point
     as the larger of its value before and the cut's own value s.z + d.  A
     binary point is cut at most once: a mask outside the cube, given twice
-    or cut before raises CutPointError.
+    or cut before, or an s of another shape, raises CutPointError.
     """
     s, d = np.asarray(s, dtype=float), np.asarray(d, dtype=float)
     n = P.domain.n
+    if s.shape[-1:] != (n,) or s.size != d.size * n:
+        raise CutPointError("s has shape %s, not (%d, %d)" % (s.shape, d.size, n))
     masks = np.atleast_1d(masks)
     if masks.shape != (d.size,):
         raise CutPointError("%d cut points given for %d cuts" % (masks.size, d.size))

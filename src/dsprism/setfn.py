@@ -68,8 +68,8 @@ class SetFunction:
 
     def __init__(self, n, fn=None, name="custom", spec=None, submodular=None,
                  table_values=None, kernel=None):
-        if n < 1:
-            raise GroundSetError("ground set must be nonempty")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise GroundSetError("ground set size must be an integer >= 1, got %r" % (n,))
         if fn is None and kernel is None:
             raise ValueError("a set function needs fn or kernel")
         self.n = int(n)
@@ -143,14 +143,16 @@ def _column_kernel(n, empty, block):
 # Library constructors
 
 
-def _finite(name, values):
-    """values as a float array; a ValueError names the first non-finite
-    entry, by ``name % index``."""
-    a = np.asarray(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(a))
-    if bad.size:
-        raise ValueError("%s is %r; parameters must be finite"
-                         % (name % bad[0], a.tolist()[bad[0]]))
+def _finite(name, values, ndim):
+    """values as a new float array with ndim axes; a ValueError names the
+    shape, or the first non-finite entry by its index as ``name % index``."""
+    a = np.array(values, dtype=float)
+    if a.ndim != ndim:
+        raise ValueError("%s must be %s, got shape %s" % (
+            name.partition("[")[0], ("a number", "a vector", "a matrix")[ndim], a.shape))
+    if not np.isfinite(a).all():
+        at = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
+        raise ValueError("%s is %r; values must be finite" % (name % at, float(a[at])))
     return a
 
 
@@ -168,7 +170,7 @@ def _slice_sums(w):
 
 
 def modular(weights):
-    w = _finite("weights[%d]", weights).tolist()
+    w = _finite("weights[%d]", weights, 1).tolist()
     tables = _slice_sums(w)
 
     def fn(mask):
@@ -185,7 +187,7 @@ def modular(weights):
 
 def cardinality_concave(n, phi):
     """phi applied to |A|; phi is a list of n+1 values, concave nondecreasing."""
-    phi = _finite("phi[%d]", phi).tolist()
+    phi = _finite("phi[%d]", phi, 1).tolist()
     if len(phi) != n + 1:
         raise ValueError("phi must have n+1 values")
     for k in range(n):
@@ -231,7 +233,7 @@ def cut(n, edges):
         raise ValueError("edges[%d] is %r; endpoints must be integers"
                          % (fractional[0], E[fractional[0]].tolist()))
     u, v = E[:, 0].astype(np.int64), E[:, 1].astype(np.int64)
-    w = _finite("weight of edges[%d]", E[:, 2])
+    w = _finite("weight of edges[%d]", E[:, 2], 1)
     if np.any(w < 0):
         raise ValueError("negative edge weight %g" % w[np.argmax(w < 0)])
     # slices lo < hi of each edge's pair: an edge inside slice a goes to
@@ -265,11 +267,9 @@ def cut(n, edges):
 
 def nuclear(X, scale=1.0):
     """f(A) = scale * sum of singular values of the column submatrix X_A."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be a matrix")
+    X = _finite("X[%d, %d]", X, 2)
     n = X.shape[1]
-    scale = float(scale)
+    scale = float(_finite("scale", scale, 0))
     Xt = np.ascontiguousarray(X.T)
 
     def block(cols):
@@ -288,9 +288,9 @@ def neg_residual(X, y):
     Not submodular in general (the residual is not supermodular for a
     generic design), so it claims no direction; ``ds_decompose`` repairs a
     pair that uses it."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != len(y):
+    X = _finite("X[%d, %d]", X, 2)
+    y = _finite("y[%d]", y, 1)
+    if X.shape[0] != len(y):
         raise ValueError("X and y shapes are inconsistent")
     n = X.shape[1]
     Xt = np.ascontiguousarray(X.T)
@@ -306,8 +306,8 @@ def neg_residual(X, y):
 
 def gaussian_entropy(sigma):
     """f(A) = 1/2 log det(2*pi*e * Sigma_AA), with f(empty) = 0."""
-    S = np.asarray(sigma, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    S = _finite("sigma[%d, %d]", sigma, 2)
+    if S.shape[0] != S.shape[1]:
         raise ValueError("sigma must be square")
     if not np.allclose(S, S.T, atol=1e-10):
         raise ValueError("sigma must be symmetric")
@@ -327,17 +327,12 @@ def gaussian_entropy(sigma):
 
 def table(n, values):
     """Explicit table of 2^n finite values, indexed by mask."""
-    arr = np.array(values, dtype=float)
     # n is bounded before the shift: 1 << n of a huge n never returns
-    if not (1 <= n <= MASK_BITS and arr.shape == (1 << n,)):
+    if not (1 <= n <= MASK_BITS and np.shape(values) == (1 << n,)):
         raise ValueError("a table on n = %d elements needs n >= 1 and 2^n values, got %d values"
-                         % (n, arr.size))
+                         % (n, np.size(values)))
+    arr = _finite("set-function value at mask %d", values, 1)
     vals = arr.tolist()
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError("set-function value at mask %d is %r; values must be finite"
-                         % (bad[0], vals[bad[0]]))
-
     arr.setflags(write=False)  # fn reads vals: the two copies must agree
 
     def fn(mask):
@@ -354,7 +349,7 @@ def coverage(n, item_weights, covers):
 
     A value ORs one cover table per 8-element slice of A into the covered
     items, then sums one weight table per 8-item slice of those."""
-    w = _finite("item_weights[%d]", item_weights)
+    w = _finite("item_weights[%d]", item_weights, 1)
     if np.any(w < 0):
         raise ValueError("coverage item weights must be nonnegative")
     w = w.tolist()

@@ -72,22 +72,20 @@ class SolveReport:
 
 
 def cutting_plane(f, masks, t_lo):
-    """Separating cuts at the binary points z named by masks, each with
-    the level t_lo below f(z).
+    """Separating cuts at the binary points z named by masks where f(z),
+    read once, exceeds the level t_lo by more than FEAS_TOL.
 
-    Returns (s, d), s of shape (k, n) and d of length k, for the cuts
-    t >= s.x + d: Lovasz-extension subgradient planes, tight at their
-    points (s.z + d = f(z)), so each holds on the whole epigraph region
-    and cuts off (z, t_lo).
-    """
+    Returns (at, s, d): at indexes the points cut in masks, and the cuts
+    t >= s.x + d, s of shape (len(at), n), are Lovasz-extension subgradient
+    planes, tight at their points (s.z + d = f(z)), so each holds on the
+    whole epigraph region and cuts off (z, t_lo)."""
     fz = f.values(masks)
-    if np.any(fz <= t_lo + FEAS_TOL):
-        raise ValueError("cutting plane requested at a feasible point")
-    X = binary_points(f.n)[masks]
+    at = np.flatnonzero(fz > t_lo + FEAS_TOL)
+    X = binary_points(f.n)[np.asarray(masks)[at]]
     s = lovasz_subgradient(f, X)
     # one s.x per point through matmul (an einsum sums in another order
     # and moves d in the last digits)
-    return s, fz - np.matmul(s[:, None, :], X[:, :, None])[:, 0, 0]
+    return at, s, fz[at] - np.matmul(s[:, None, :], X[:, :, None])[:, 0, 0]
 
 
 def _emit(observer, event, **data):
@@ -239,11 +237,9 @@ def solve(f, g, config=None, observer=None):
         # strictly separating and lifts t_lo to f at its point, so no point
         # is cut twice
         res = node.bound
-        masks, t_lo = res.feasible_points, res.feasible_t_lo
-        need = ft.values(masks) > t_lo + FEAS_TOL
-        masks, t_lo = masks[need], t_lo[need]
+        at, s, d = cutting_plane(ft, res.feasible_points, res.feasible_t_lo)
+        masks, t_lo = res.feasible_points[at], res.feasible_t_lo[at]
         if len(masks):
-            s, d = cutting_plane(ft, masks, t_lo)
             P = add_cut(P, s, d, masks)
             cuts_added += len(masks)
             if observer is not None:

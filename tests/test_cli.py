@@ -89,6 +89,20 @@ MODULAR = '{"type": "modular", "weights": [1.0]}'
     pytest.param('{"n": 1, "f": %s}' % MODULAR, "missing key 'g'", id="no_g"),
     pytest.param('{"n": 1, "f": {"type": "matroid"}, "g": %s}' % MODULAR,
                  "unknown set-function type 'matroid'", id="unknown_type"),
+    # each constructor checks its parameters: a non-finite one is named by
+    # its index, a nested vector by its shape
+    pytest.param('{"n": 2, "f": {"type": "nuclear", "X": [[1.0, 0.0], [2.0, NaN]]}, "g": %s}'
+                 % MODULAR, "X[1, 1] is nan; values must be finite", id="nan_in_nuclear_X"),
+    pytest.param('{"n": 1, "f": {"type": "nuclear", "X": [[1.0]], "scale": NaN}, "g": %s}'
+                 % MODULAR, "scale is nan; values must be finite", id="nan_scale"),
+    pytest.param('{"n": 1, "f": %s, "g": {"type": "neg_residual", "X": [[1.0], [2.0]], '
+                 '"y": [0.5, NaN]}}' % MODULAR, "y[1] is nan; values must be finite",
+                 id="nan_in_neg_residual_y"),
+    pytest.param('{"n": 2, "f": {"type": "gaussian_entropy", "sigma": [[1.0, NaN], [NaN, 1.0]]}, '
+                 '"g": %s}' % MODULAR, "sigma[0, 1] is nan; values must be finite",
+                 id="nan_in_sigma"),
+    pytest.param('{"n": 1, "f": {"type": "modular", "weights": [[1.0]]}, "g": %s}' % MODULAR,
+                 "weights must be a vector, got shape (1, 1)", id="nested_modular_weights"),
 ])
 def test_malformed_instance_exits_with_message(command, text, reason, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -98,6 +112,26 @@ def test_malformed_instance_exits_with_message(command, text, reason, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("dsprism: cannot load instance %s: " % path)
     assert reason in err
+    assert err.count("\n") == 1
+
+
+# finite parameters whose Gram matrix X^T X overflows
+GRAM_OVERFLOW = {"n": 2, "f": {"type": "nuclear", "X": [[1.0, 0.0], [0.0, 1e200]]},
+                 "g": {"type": "modular", "weights": [0.5, 0.5]}}
+
+
+@pytest.mark.parametrize("command", [["solve"], ["baseline", "--method", "ssp"],
+                                     ["baseline", "--method", "greedy"]],
+                         ids=["solve", "ssp", "greedy"])
+def test_non_finite_oracle_value_exits_with_message(command, tmp_path, capsys):
+    # an oracle value that overflows stops the command where it is computed
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(GRAM_OVERFLOW))
+    assert main(command + ["--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dsprism: cannot evaluate instance %s: overflow encountered "
+                            "in matmul\n" % path)
 
 
 @pytest.mark.parametrize("f, g, reason", [

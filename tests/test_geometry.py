@@ -1,5 +1,7 @@
 """Tests for simplices, subdivision and the outer-approximation polyhedron."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -228,7 +230,8 @@ CUT_4 = setfn.as_table(setfn.cut(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.8), (0, 
 def tight(f, masks):
     """Lovasz subgradient cuts of f at masks, tight at their points."""
     masks = np.asarray(masks)
-    return cutting_plane(f, masks, f.table_values[masks] - 1.0)
+    _, s, d = cutting_plane(f, masks, f.table_values[masks] - 1.0)
+    return s, d
 
 
 def kelley(Q):
@@ -344,13 +347,19 @@ def test_cut_points_are_final_and_kept_per_branch():
     ([-1, 2], "mask -1 outside 0..15"),
     ([5, 5], "mask 5 given twice"),
     ([1.0, 2.0], "integer masks"),
+    # (masks, s): an s of 4 rows of 3 for 2 cuts on n = 4
+    pytest.param(([1, 2], np.ones((4, 3))), re.escape("s has shape (4, 3), not (2, 4)"),
+                 id="s_shape"),
 ])
 def test_add_cut_rejects_invalid_cut_points(masks, match, monkeypatch):
     P = Polyhedron(initial_simplex(4), t_tilde=0.0)
     folds = []
     monkeypatch.setattr(geometry, "_fold_cuts", lambda *args: folds.append(args))
+    s, d = random_cuts(4, 2, np.random.default_rng(11))
+    if isinstance(masks, tuple):
+        masks, s = masks
     with pytest.raises(CutPointError, match=match):
-        add_cut(P, *random_cuts(4, 2, np.random.default_rng(11)), masks)
+        add_cut(P, s, d, masks)
     assert folds == [] and P.num_rows == 1
 
 

@@ -1,5 +1,6 @@
 """Tests for set-function oracles and the Lovász extension layer."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,22 @@ def test_gaussian_entropy_submodular():
     assert is_submodular(as_table(f))
 
 
+def lower_only(k, i, j):
+    """The k x k identity with 0.5 at (i, j) only, i > j."""
+    S = np.eye(k)
+    S[i, j] = 0.5
+    return S
+
+
+@pytest.mark.parametrize("sigma", [[[0.0, 1.0], [0.0, 0.0]], lower_only(4, 3, 1),
+                                   lower_only(2, 1, 0) + 2e-10 * np.eye(2)[::-1]],
+                         ids=["upper_only", "one_block_of_four", "above_1e-10"])
+def test_gaussian_entropy_rejects_an_asymmetric_sigma(sigma):
+    # the one symmetry check: sym_eigs reads only the lower triangle
+    with pytest.raises(ValueError, match="sigma must be symmetric"):
+        setfn.gaussian_entropy(sigma)
+
+
 def test_table_values_are_read_only():
     # scalar calls read the table's list, blocks its array: the two must agree
     t = setfn.table(2, [0.0, 1.0, 2.0, 3.0])
@@ -271,6 +288,15 @@ def test_ground_set_errors():
         f(0b100)
     with pytest.raises(GroundSetError):
         lovasz(f, np.array([0.5, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None, np.nan, 0, -1])
+def test_set_function_size_is_an_integer_of_at_least_one(n):
+    # a bool is an int to Python, and 2.5 built a 2-element oracle
+    with pytest.raises(GroundSetError, match=r"ground set size must be an integer >= 1, got "
+                       + re.escape(repr(n))):
+        setfn.SetFunction(n, lambda m: 0.0)
+    assert setfn.SetFunction(np.int64(2), lambda m: 0.0).n == 2
 
 
 @pytest.mark.parametrize("n, binary", [(64, False), (64, True), (70, True)])
@@ -593,7 +619,13 @@ def test_solve_tabulates_each_kernelless_oracle_once():
     (lambda bad: setfn.modular([1.0, bad]), r"weights\[1\] is"),
     (lambda bad: setfn.coverage(2, [bad, 1.0], [[0], [1]]), r"item_weights\[0\] is"),
     (lambda bad: setfn.cardinality_concave(2, [0.0, bad, 1.0]), r"phi\[1\] is"),
-], ids=["cut", "modular", "coverage", "cardinality_concave"])
+    (lambda bad: setfn.nuclear([[1.0, 0.0], [0.0, bad]]), r"X\[1, 1\] is"),
+    (lambda bad: setfn.nuclear(np.eye(2), scale=bad), r"^scale is"),
+    (lambda bad: setfn.neg_residual([[1.0, bad]], [1.0]), r"X\[0, 1\] is"),
+    (lambda bad: setfn.neg_residual(np.eye(2), [bad, 1.0]), r"y\[0\] is"),
+    (lambda bad: setfn.gaussian_entropy([[1.0, bad], [bad, 1.0]]), r"sigma\[0, 1\] is"),
+], ids=["cut", "modular", "coverage", "cardinality_concave", "nuclear_X", "nuclear_scale",
+        "neg_residual_X", "neg_residual_y", "gaussian_entropy"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_constructors_reject_non_finite_parameters(build, message, bad):
     with pytest.raises(ValueError, match=message):

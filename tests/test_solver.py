@@ -1,6 +1,7 @@
 """Tests for the branch-and-bound driver."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -120,8 +121,8 @@ def test_solve_rejects_non_finite_oracle_values(bad):
 
 def test_cutting_plane_worked_example():
     f = setfn.table(1, [0.0, 1.0])
-    s, d = cutting_plane(f, np.array([1]), np.array([0.0]))
-    assert np.allclose(s, [[1.0]]) and d == pytest.approx([0.0])
+    at, s, d = cutting_plane(f, np.array([1]), np.array([0.0]))
+    assert np.array_equal(at, [0]) and np.allclose(s, [[1.0]]) and d == pytest.approx([0.0])
     # t >= x: tight at both epigraph points (0,0) and (1,1)
     assert float(s[0] @ [0.0]) + d[0] - 0.0 <= 1e-12
     assert float(s[0] @ [1.0]) + d[0] - 1.0 <= 1e-12
@@ -131,14 +132,22 @@ def test_cutting_plane_modular_reduces_to_epigraph_facet():
     w = np.array([0.5, -1.0, 2.0])
     f = setfn.modular(w)
     masks = np.arange(8)
-    s, d = cutting_plane(f, masks, f.values(masks) - 1.0)
+    at, s, d = cutting_plane(f, masks, f.values(masks) - 1.0)
+    assert np.array_equal(at, np.arange(8))
     assert np.allclose(s, w) and np.allclose(d, 0.0, rtol=0.0, atol=1e-12)
 
 
-def test_cutting_plane_rejects_feasible_point():
-    f = setfn.table(1, [0.0, 1.0])
-    with pytest.raises(ValueError, match="feasible"):
-        cutting_plane(f, np.array([1]), np.array([1.0]))
+def test_cutting_plane_cuts_no_point_at_or_below_its_level():
+    # a point whose f exceeds its level by FEAS_TOL or less gets no cut
+    f = setfn.table(2, [0.0, 1.0, 2.0, 3.0])
+    masks = np.array([3, 0, 1, 2])
+    at, s, d = cutting_plane(f, masks, np.array([3.0, -1.0, 1.0 - FEAS_TOL / 2,
+                                                 2.0 - 2 * FEAS_TOL]))
+    assert np.array_equal(at, [1, 3]) and s.shape == (2, 2) and d.shape == (2,)
+    # tight at the points cut
+    assert np.allclose((s * binary_points(2)[masks[at]]).sum(axis=1) + d, [0.0, 2.0])
+    at, s, d = cutting_plane(f, masks[:1], np.array([4.0]))
+    assert at.size == 0 and s.shape == (0, 2) and d.shape == (0,)
 
 
 def test_cut_validity_on_all_subsets():
@@ -150,7 +159,8 @@ def test_cut_validity_on_all_subsets():
     X = binary_points(4)
     masks = rng.permutation(16)
     t = f.values(masks) - rng.uniform(0.1, 1.0, size=16)
-    s, d = cutting_plane(f, masks, t)
+    at, s, d = cutting_plane(f, masks, t)
+    assert np.array_equal(at, np.arange(16))
     for j, m in enumerate(masks):
         assert float(s[j] @ X[m]) + d[j] - t[j] > 0
         assert np.all(X @ s[j] + d[j] - f.table_values <= 1e-9)
@@ -164,16 +174,16 @@ def test_block_cutting_planes_match_single_point_cuts():
               setfn.table(n, rng.normal(size=1 << n))):
         masks = rng.permutation(1 << n)[:40]
         t = f.values(masks) - rng.uniform(0.1, 1.0, size=len(masks))
-        S, d = cutting_plane(f, masks, t)
+        at, S, d = cutting_plane(f, masks, t)
+        assert np.array_equal(at, np.arange(len(masks)))
         assert S.shape == (len(masks), n) and d.shape == (len(masks),)
         X = binary_points(n)[masks]
         for j, m in enumerate(masks):
-            s1, d1 = cutting_plane(f, masks[j:j + 1], t[j:j + 1])
+            _, s1, d1 = cutting_plane(f, masks[j:j + 1], t[j:j + 1])
             assert np.array_equal(S[j], s1[0]) and d[j] == d1[0]
             # tight at its own binary point: s.I_A + d = f(A)
             assert abs(float(S[j] @ X[j]) + d[j] - f(int(m))) <= 1e-12
-    with pytest.raises(ValueError, match="feasible"):
-        cutting_plane(f, masks[:2], f.table_values[masks[:2]])
+    assert cutting_plane(f, masks[:2], f.table_values[masks[:2]])[0].size == 0
 
 
 def test_cut_minus_modular_n12_memory():
@@ -324,6 +334,61 @@ def cut_where_the_bound_is_decided(monkeypatch):
         return dataclasses.replace(res, feasible_points=masks[at], feasible_t_lo=t_lo[at])
 
     monkeypatch.setattr(solver, "solve_bound", solve_bound)
+
+
+@pytest.mark.parametrize("paper_search", [False, True], ids=["sweep", "paper_search"])
+def test_a_selection_reads_f_once_at_each_point_of_its_bound(paper_search, monkeypatch):
+    # from a node's selection to its split, f is read once at the points its
+    # bound program handed on: one read serves the separation test and the
+    # cuts' d (the Lovasz chains of the cut points are read as a 2-d block)
+    if paper_search:
+        cut_where_the_bound_is_decided(monkeypatch)
+    log = []
+
+    class Logged(setfn.SetFunction):
+        def values(self, masks):
+            log.append(np.array(masks))
+            return super().values(masks)
+
+    handed = set()
+    solve_bound, subdivide = solver.solve_bound, solver.subdivide
+
+    def bound(*args):
+        res = solve_bound(*args)
+        handed.add(res.feasible_points.tobytes())
+        return res
+
+    def observer(event, data):
+        if event in ("select", "cut"):
+            log.append((event, data["z"][0] if event == "cut" else None))
+
+    monkeypatch.setattr(solver, "solve_bound", bound)
+    monkeypatch.setattr(solver, "subdivide",
+                        lambda *args: log.append(("split", None)) or subdivide(*args))
+    monkeypatch.setattr(solver, "as_table", lambda oracle: oracle)
+    windows = uncut = 0
+    for n in range(2, 7):
+        for family, seed in itertools.product(FAMILIES, range(3)):
+            inst = gen_random_ds(n, family, seed)
+            vals = as_table(inst.f).table_values
+            f = Logged(n, name="logged", table_values=vals, kernel=vals.__getitem__)
+            for anchor in (0, (1 << n) - 1):
+                log.clear()
+                solve(f, as_table(inst.g), SolverConfig(initial_vertex=anchor), observer=observer)
+                marks = [i for i, e in enumerate(log) if isinstance(e, tuple) and e[0] != "cut"]
+                for a, b in zip(marks[::2], marks[1::2]):
+                    assert (log[a][0], log[b][0]) == ("select", "split")
+                    window = log[a + 1:b]
+                    reads = [e for e in window if isinstance(e, np.ndarray) and e.ndim == 1]
+                    cut = [e[1] for e in window if isinstance(e, tuple)]
+                    assert len(reads) == 1
+                    assert reads[0].tobytes() in handed
+                    assert len(np.unique(reads[0])) == len(reads[0])
+                    assert set(cut) <= set(reads[0].tolist())
+                    windows += 1
+                    uncut += len(reads[0]) - len(cut)
+    # some points handed on are not cut: the read also decides where to cut
+    assert windows > 100 and uncut > 30
 
 
 @pytest.mark.parametrize("paper_search", [False, True], ids=["sweep", "paper_search"])
