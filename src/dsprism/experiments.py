@@ -37,8 +37,10 @@ class DsInstance:
     seed: int
 
     def to_dict(self):
-        return {"n": self.n, "f": self.f.spec, "g": self.g.spec,
-                "family": self.family, "seed": self.seed}
+        """The instance as JSON data; array-valued spec entries become lists."""
+        f, g = ({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in h.spec.items()}
+                for h in (self.f, self.g))
+        return {"n": self.n, "f": f, "g": g, "family": self.family, "seed": self.seed}
 
 
 def _integer(key, value):

@@ -147,17 +147,17 @@ def subdivide(S, r, lam):
     return bisect(S) if np.max(lam) >= 1.0 - 1e-9 else radial_subdivide(S, r, lam)
 
 
-# n -> (binary_points(n), the same rows with a column of ones appended)
+# n -> (binary_points(n), the homogeneous grid it views: those rows and a ones column)
 _binary_grid_cache = {}
 
 
 def binary_points(n):
-    """All 2^n binary vectors as a (2^n, n) array, mask-ascending rows."""
+    """All 2^n binary vectors as a read-only (2^n, n) array, mask-ascending
+    rows: a view of the cached homogeneous grid."""
     if n not in _binary_grid_cache:
-        masks = np.arange(1 << n)
-        grid = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-        _binary_grid_cache[n] = (_read_only(grid),
-                                 _read_only(np.append(grid, np.ones((1 << n, 1)), axis=-1)))
+        h = np.ones((1 << n, n + 1))
+        h[:, :n] = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        _binary_grid_cache[n] = (_read_only(h[:, :n]), _read_only(h))
     return _binary_grid_cache[n][0]
 
 

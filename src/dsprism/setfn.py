@@ -59,9 +59,9 @@ class SetFunction:
     point is the kernel on a one-mask array, without ``kernel`` a block is
     one ``fn`` call per mask.  ``__call__`` is the scalar API only: block
     evaluation (``values``) calls the kernel or ``fn`` directly, never
-    ``__call__``, on either path.  ``spec`` keeps the constructor parameters
-    for JSON round-trips; ``submodular`` records the direction claimed by
-    the constructor (None when unknown).
+    ``__call__``, on either path.  ``spec`` keeps the constructor parameters,
+    arrays as the read-only arrays the oracle holds; ``submodular`` records
+    the direction claimed by the constructor (None when unknown).
     """
 
     __slots__ = ("n", "name", "_fn", "_kernel", "spec", "submodular", "table_values")
@@ -144,8 +144,8 @@ def _column_kernel(n, empty, block):
 
 
 def _finite(name, values, ndim):
-    """values as a new float array with ndim axes; a ValueError names the
-    shape, or the first non-finite entry by its index as ``name % index``."""
+    """values as a new read-only float array with ndim axes; a ValueError names
+    the shape, or the first non-finite entry by its index as ``name % index``."""
     a = np.array(values, dtype=float)
     if a.ndim != ndim:
         raise ValueError("%s must be %s, got shape %s" % (
@@ -153,6 +153,7 @@ def _finite(name, values, ndim):
     if not np.isfinite(a).all():
         at = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
         raise ValueError("%s is %r; values must be finite" % (name % at, float(a[at])))
+    a.setflags(write=False)
     return a
 
 
@@ -278,7 +279,7 @@ def nuclear(X, scale=1.0):
         return scale * np.sum(np.sqrt(np.clip(eigs, 0.0, None)), axis=-1)
 
     return SetFunction(n, name="nuclear", kernel=_column_kernel(n, 0.0, block),
-                       spec={"type": "nuclear", "X": X.tolist(), "scale": scale},
+                       spec={"type": "nuclear", "X": X, "scale": scale},
                        submodular=True)
 
 
@@ -292,6 +293,8 @@ def neg_residual(X, y):
     y = _finite("y[%d]", y, 1)
     if X.shape[0] != len(y):
         raise ValueError("X and y shapes are inconsistent")
+    with np.errstate(over="ignore"):  # f(empty) = -||y||^2 is checked, not warned of
+        empty = -float(_finite("||y||^2", y @ y, 0))
     n = X.shape[1]
     Xt = np.ascontiguousarray(X.T)
 
@@ -300,8 +303,8 @@ def neg_residual(X, y):
         return -res
 
     return SetFunction(n, name="neg_residual",
-                       kernel=_column_kernel(n, -float(y @ y), block),
-                       spec={"type": "neg_residual", "X": X.tolist(), "y": y.tolist()})
+                       kernel=_column_kernel(n, empty, block),
+                       spec={"type": "neg_residual", "X": X, "y": y})
 
 
 def gaussian_entropy(sigma):
@@ -321,26 +324,21 @@ def gaussian_entropy(sigma):
         return 0.5 * np.sum(np.log(2.0 * np.pi * np.e * vals), axis=-1)
 
     return SetFunction(n, name="gaussian_entropy", kernel=_column_kernel(n, 0.0, block),
-                       spec={"type": "gaussian_entropy", "sigma": S.tolist()},
+                       spec={"type": "gaussian_entropy", "sigma": S},
                        submodular=True)
 
 
 def table(n, values):
-    """Explicit table of 2^n finite values, indexed by mask."""
+    """Explicit table of 2^n finite values, indexed by mask: the oracle is its
+    validated read-only array, held once (``table_values`` and
+    ``spec["values"]``); a point is ``arr.item``, a block ``arr.__getitem__``."""
     # n is bounded before the shift: 1 << n of a huge n never returns
     if not (1 <= n <= MASK_BITS and np.shape(values) == (1 << n,)):
         raise ValueError("a table on n = %d elements needs n >= 1 and 2^n values, got %d values"
                          % (n, np.size(values)))
     arr = _finite("set-function value at mask %d", values, 1)
-    vals = arr.tolist()
-    arr.setflags(write=False)  # fn reads vals: the two copies must agree
-
-    def fn(mask):
-        return vals[mask]
-
-    return SetFunction(n, fn, "table",
-                       spec={"type": "table", "values": vals},
-                       submodular=None, table_values=arr, kernel=arr.__getitem__)
+    return SetFunction(n, arr.item, "table", spec={"type": "table", "values": arr},
+                       table_values=arr, kernel=arr.__getitem__)
 
 
 def coverage(n, item_weights, covers):
@@ -412,10 +410,7 @@ def make_function(spec, n=None):
     if kind == "gaussian_entropy":
         return gaussian_entropy(spec["sigma"])
     if kind == "table":
-        nv = len(spec["values"])
-        if n is None:
-            n = nv.bit_length() - 1
-        return table(n, spec["values"])
+        return table(len(spec["values"]).bit_length() - 1 if n is None else n, spec["values"])
     if kind == "coverage":
         if n is None:
             n = len(spec["covers"])
@@ -424,7 +419,10 @@ def make_function(spec, n=None):
 
 
 def as_table(oracle):
-    """Materialize an oracle into a table-backed oracle with identical values."""
+    """Materialize an oracle into a table-backed oracle with identical values;
+    an oracle that has ``table_values`` already is returned as it is."""
+    if oracle.table_values is not None:
+        return oracle
     n = oracle.n
     if n > ENUM_CAP:
         raise GroundSetError("ground set too large to tabulate")

@@ -106,8 +106,7 @@ def solve(f, g, config=None, observer=None):
     start = time.perf_counter()
 
     # tabulate once: every oracle value the search needs is one of the 2^n
-    ft = as_table(f)
-    gt = as_table(g)
+    ft, gt = as_table(f), as_table(g)
 
     inc_mask, inc_val = None, np.inf
     alpha_history = []

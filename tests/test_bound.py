@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dsprism import setfn
+from dsprism import geometry, setfn
 from dsprism.bound import INFEASIBLE, SOLVED, binary_points, solve_bound, vertex_levels
 from dsprism.geometry import (MEMBERSHIP_TOL, Polyhedron, Simplex, add_cut, barycentric,
                               bisect, initial_simplex, subdivide)
@@ -29,6 +29,14 @@ def test_binary_points_grid():
     grid = binary_points(3)
     assert grid.shape == (8, 3)
     assert np.array_equal(grid[5], [1.0, 0.0, 1.0])  # mask-indexed rows
+    # one cached read-only array backs the grid and its homogeneous form
+    for n in (1, 3, 6):
+        grid = binary_points(n)
+        h = geometry._binary_grid_cache[n][1]
+        assert binary_points(n) is grid and np.shares_memory(grid, h)
+        assert not grid.flags.writeable and not h.flags.writeable
+        assert np.array_equal(h[:, n], np.ones(1 << n))
+        assert np.array_equal(grid, (np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
 
 
 def test_vertex_levels_worked_example():

@@ -98,6 +98,11 @@ MODULAR = '{"type": "modular", "weights": [1.0]}'
     pytest.param('{"n": 1, "f": %s, "g": {"type": "neg_residual", "X": [[1.0], [2.0]], '
                  '"y": [0.5, NaN]}}' % MODULAR, "y[1] is nan; values must be finite",
                  id="nan_in_neg_residual_y"),
+    # a finite y whose squared norm, f(empty) = -||y||^2, overflows: named,
+    # with no numpy warning (pytest turns one into an error, as -W error does)
+    pytest.param('{"n": 1, "f": %s, "g": {"type": "neg_residual", "X": [[1.0], [2.0]], '
+                 '"y": [0.5, 1e200]}}' % MODULAR, "||y||^2 is inf; values must be finite",
+                 id="neg_residual_y_norm_overflows"),
     pytest.param('{"n": 2, "f": {"type": "gaussian_entropy", "sigma": [[1.0, NaN], [NaN, 1.0]]}, '
                  '"g": %s}' % MODULAR, "sigma[0, 1] is nan; values must be finite",
                  id="nan_in_sigma"),

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -69,13 +70,25 @@ def test_gen_random_ds_draws_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _raw_matrix_instance(kind):
+    """The raw oracle of kind minus a raw residual, on one design."""
+    rng = np.random.default_rng(4)
+    X, y = rng.standard_normal((9, 5)), rng.standard_normal(9)
+    M = rng.standard_normal((5, 5))
+    f = (setfn.nuclear(X, scale=0.8) if kind == "nuclear"
+         else setfn.gaussian_entropy(M @ M.T + 5 * np.eye(5)))
+    return DsInstance(f=f, g=setfn.neg_residual(X, y), n=5, family="file", seed=0)
+
+
 def test_instance_json_roundtrip():
-    inst = gen_random_ds(4, "cut_minus_modular", 2)
-    back = instance_from_dict(inst.to_dict())
-    assert isinstance(back, DsInstance)
-    for m in range(16):
-        assert back.f(m) == pytest.approx(inst.f(m), abs=1e-12)
-        assert back.g(m) == pytest.approx(inst.g(m), abs=1e-12)
+    # to_dict writes array-valued spec entries as lists, and JSON keeps
+    # every float, so the rebuilt oracles tabulate to the same bits
+    for kind in (*FAMILIES, "nuclear", "gaussian_entropy"):
+        inst = gen_random_ds(6, kind, 3) if kind in FAMILIES else _raw_matrix_instance(kind)
+        back = instance_from_dict(json.loads(json.dumps(inst.to_dict())))
+        assert isinstance(back, DsInstance)
+        for a, b in ((inst.f, back.f), (inst.g, back.g)):
+            assert as_table(b).table_values.tobytes() == as_table(a).table_values.tobytes(), kind
 
 
 def test_verify_corpus_small_slice():

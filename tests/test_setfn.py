@@ -241,11 +241,43 @@ def test_gaussian_entropy_rejects_an_asymmetric_sigma(sigma):
 
 
 def test_table_values_are_read_only():
-    # scalar calls read the table's list, blocks its array: the two must agree
-    t = setfn.table(2, [0.0, 1.0, 2.0, 3.0])
+    # scalar calls and blocks read the one array, a copy of the caller's
+    values = np.array([0.0, 1.0, 2.0, 3.0])
+    t = setfn.table(2, values)
     with pytest.raises(ValueError):
         t.table_values[1] = 9.0
+    values[1] = 9.0
     assert t(1) == t.values(np.array([1]))[0] == lovasz(t, np.array([1.0, 0.0])) == 1.0
+    # a point is a Python float with the bits of its entry
+    t = setfn.table(4, np.random.default_rng(1).normal(size=16))
+    for m in [*range(16), np.int64(5), np.uint8(7)]:
+        v = t(m)
+        assert type(v) is float and np.float64(v).tobytes() == t.table_values[m].tobytes()
+
+
+def test_a_table_holds_its_values_once():
+    # the validated array is the whole table: no list of Python floats
+    # (about 2 MiB at n = 16) beside its 512 KiB, and the spec is that array
+    values = np.random.default_rng(0).normal(size=1 << 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = setfn.table(16, values)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * values.nbytes
+    assert t.spec["values"] is t.table_values
+
+
+@pytest.mark.parametrize("oracle", library_oracles(3), ids=lambda f: f.name)
+def test_array_valued_spec_entries_are_read_only(oracle):
+    # the matrix oracles and tables keep their validated arrays in the spec
+    arrays = [v for v in oracle.spec.values() if isinstance(v, np.ndarray)]
+    assert bool(arrays) == (oracle.name in ("nuclear", "neg_residual", "gaussian_entropy",
+                                            "table"))
+    for a in arrays:
+        assert not a.flags.writeable
 
 
 def test_table_roundtrip_and_spec():
@@ -446,6 +478,10 @@ def test_as_table_preserves_values():
     for m in range(16):
         assert t(m) == f(m)
     assert t.submodular is True
+    # a table passes through as it is: same object, name and flag
+    assert as_table(t) is t and t.name == "table(cut)" and t.submodular is True
+    raw = setfn.table(2, [0.0, 1.0, 2.0, 3.0])
+    assert as_table(raw) is raw and raw.name == "table" and raw.submodular is None
 
 
 def test_values_is_one_lookup_or_one_call_per_mask():

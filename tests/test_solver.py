@@ -365,7 +365,6 @@ def test_a_selection_reads_f_once_at_each_point_of_its_bound(paper_search, monke
     monkeypatch.setattr(solver, "solve_bound", bound)
     monkeypatch.setattr(solver, "subdivide",
                         lambda *args: log.append(("split", None)) or subdivide(*args))
-    monkeypatch.setattr(solver, "as_table", lambda oracle: oracle)
     windows = uncut = 0
     for n in range(2, 7):
         for family, seed in itertools.product(FAMILIES, range(3)):
