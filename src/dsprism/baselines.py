@@ -4,10 +4,8 @@ and greedy forward selection."""
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bound import binary_points
-from .setfn import GroundSetError, as_table, chain_subgradient, set_of
+from .setfn import GroundSetError, as_table, chain_subgradient, first_min, set_of
 
 
 def modular_lower_bound(g, current_mask, perm):
@@ -31,9 +29,7 @@ def modular_lower_bound(g, current_mask, perm):
 def _modular_min(fvals, weights, const):
     """Exact minimizer of f(A) - h(A) for the modular h, over the table of f;
     ties to the smallest mask."""
-    v = fvals - (const + binary_points(len(weights)) @ weights)
-    m = int(np.argmin(v))  # first min: smallest mask
-    return m, float(v[m])
+    return first_min(fvals - (const + binary_points(len(weights)) @ weights))
 
 
 @dataclass

@@ -41,7 +41,6 @@ class BoundResult:
     witness_lam: np.ndarray = None  # the witness's barycentric row of the block product
     # masks of the binary points in the simplex, ascending; empty when infeasible
     feasible_points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    feasible_t_lo: np.ndarray = None  # per feasible point, lowest t in P
 
 
 def vertex_levels(ghat, mu):
@@ -92,5 +91,5 @@ def solve_bound(S, P, levels, g):
     beta = max(beta, direct)
     # a copy, so that an open node does not keep the whole block alive
     return BoundResult(status=SOLVED, beta=beta, c_star=best_obj, witness_mask=mask,
-                       witness_lam=lam[mask].copy(), feasible_points=masks, feasible_t_lo=t_lo)
+                       witness_lam=lam[mask].copy(), feasible_points=masks)
 

@@ -530,23 +530,26 @@ def lovasz_subgradient(oracle, x):
 # Exhaustive minimization
 
 
+def first_min(values):
+    """(index, value) of the first minimum of a 1-d array: on ties the
+    smallest index, the smallest mask when values are by mask."""
+    j = int(np.argmin(values))
+    return j, float(values[j])
+
+
 def brute_force_min(oracle):
     """Exact minimizer by enumeration; ties broken to the smallest mask."""
     n = oracle.n
     if n > ENUM_CAP:
         raise GroundSetError("ground set too large for exhaustive enumeration")
-    vals = oracle.values(np.arange(1 << n))
-    m = int(np.argmin(vals))  # first min: smallest mask
-    return m, float(vals[m])
+    return first_min(oracle.values(np.arange(1 << n)))
 
 
 def brute_force_ds_min(f, g):
     """Exact minimizer of f - g by enumeration; ties to the smallest mask."""
     if f.n != g.n:
         raise GroundSetError("oracles live on different ground sets")
-    diff = as_table(f).table_values - as_table(g).table_values
-    m = int(np.argmin(diff))  # first min: smallest mask
-    return m, float(diff[m])
+    return first_min(as_table(f).table_values - as_table(g).table_values)
 
 
 def max_submodularity_violation(oracle):

@@ -13,8 +13,8 @@ import numpy as np
 from .bound import INFEASIBLE, solve_bound, vertex_levels
 from .geometry import (Polyhedron, Simplex, add_cut, binary_points, initial_simplex,
                        subdivide)
-from .setfn import (GroundSetError, as_table, brute_force_min, indicator, lovasz,
-                    lovasz_subgradient, set_of)
+from .setfn import (GroundSetError, as_table, brute_force_min, first_min, indicator,
+                    lovasz, lovasz_subgradient, set_of)
 
 
 # a cut separates a point whose fhat exceeds its level by more than this
@@ -118,11 +118,9 @@ def solve(f, g, config=None, observer=None):
         nonlocal inc_mask, inc_val
         if len(masks) == 0:
             return
-        vals = ft.values(masks) - gt.values(masks)
-        j = int(np.argmin(vals))
-        if vals[j] < inc_val:
-            inc_val = float(vals[j])
-            inc_mask = int(masks[j])
+        j, val = first_min(ft.values(masks) - gt.values(masks))
+        if val < inc_val:
+            inc_val, inc_mask = val, int(masks[j])
             alpha_history.append((iteration, inc_val))
             _emit(observer, "incumbent", mask=inc_mask, value=inc_val,
                   iteration=iteration)
@@ -211,8 +209,7 @@ def solve(f, g, config=None, observer=None):
         # best-first selection; the bound rule closes an open region here and
         # only here.  The stored bound is refreshed against the current P (cuts
         # only tighten it), so regions that close under the grown polyhedron
-        # are deleted without expansion, and the selected node's binary
-        # points carry their current t_lo: a point cut before has t_lo = f
+        # are deleted without expansion
         beta, nid, node = heapq.heappop(heap)
         S = node.simplex
         if classify(None, beta):
@@ -232,12 +229,13 @@ def solve(f, g, config=None, observer=None):
               iteration=iteration)
 
         # separate every binary point of the node the outer approximation
-        # still underestimates (the witness among them); each such cut is
-        # strictly separating and lifts t_lo to f at its point, so no point
-        # is cut twice
+        # still underestimates at its level in P (the witness among them);
+        # each such cut is strictly separating and lifts t_lo to f at its
+        # point, so no point is cut twice
         res = node.bound
-        at, s, d = cutting_plane(ft, res.feasible_points, res.feasible_t_lo)
-        masks, t_lo = res.feasible_points[at], res.feasible_t_lo[at]
+        t_lo = P.t_lo[res.feasible_points]
+        at, s, d = cutting_plane(ft, res.feasible_points, t_lo)
+        masks, t_lo = res.feasible_points[at], t_lo[at]
         if len(masks):
             P = add_cut(P, s, d, masks)
             cuts_added += len(masks)

@@ -87,7 +87,7 @@ def test_criterion_2_worked_trace():
     checks = [
         root.c_star == pytest.approx(1.0, abs=1e-12),
         root.witness_mask == 1 and np.array_equal(root.feasible_points, [0, 1])
-        and root.feasible_t_lo[1] == 0.0,
+        and nodes[0]["polyhedron"].t_lo[1] == 0.0,
         len(cuts) == 1 and cuts[0]["z"] == (1, 0.0),
         np.array_equal(cuts[0]["row"][0], [1.0]),  # cut reads t >= x
         cuts[0]["row"][1] == 0.0,

@@ -326,12 +326,12 @@ def cut_where_the_bound_is_decided(monkeypatch):
 
     def solve_bound(S, P, levels, g):
         res = inner(S, P, levels, g)
-        masks, t_lo = res.feasible_points, res.feasible_t_lo
+        masks = res.feasible_points
         if len(masks) == 0:
             return res
-        j = int(np.argmin(t_lo - g.values(masks)))
+        j = int(np.argmin(P.t_lo[masks] - g.values(masks)))
         at = np.searchsorted(masks, np.unique([res.witness_mask, masks[j]]))
-        return dataclasses.replace(res, feasible_points=masks[at], feasible_t_lo=t_lo[at])
+        return dataclasses.replace(res, feasible_points=masks[at])
 
     monkeypatch.setattr(solver, "solve_bound", solve_bound)
 
