@@ -5,7 +5,8 @@ import random
 from dataclasses import dataclass
 
 from .bound import binary_points
-from .setfn import GroundSetError, as_table, chain_subgradient, first_min, set_of
+from .setfn import (GroundSetError, as_table, chain_subgradient, first_min, is_integer,
+                    set_of)
 
 
 def modular_lower_bound(g, current_mask, perm):
@@ -48,6 +49,8 @@ def ssp(f, g, init=0, seed=0):
     """
     if f.n != g.n:
         raise GroundSetError("oracles live on different ground sets")
+    if not is_integer(init):
+        raise ValueError("init must be an integer mask, got %r" % (init,))
     n = f.n
     fvals = as_table(f).table_values
     rng = random.Random(seed)

@@ -79,10 +79,14 @@ class FsInstanceSpec:
     seed: int
 
     def __post_init__(self):
-        if not (0 < self.k <= self.p) or self.n_samples <= 0 or self.lam < 0:
-            raise ValueError("invalid feature-selection spec: need 0 < k <= p, n_samples > 0 "
-                             "and lam >= 0, got p=%r, n_samples=%r, k=%r, lam=%r"
-                             % (self.p, self.n_samples, self.k, self.lam))
+        for name in ("p", "n_samples", "k", "seed"):
+            if not setfn.is_integer(getattr(self, name)):
+                raise ValueError("%s must be an integer, got %r" % (name, getattr(self, name)))
+        setfn.check_nonnegative("lam", self.lam)
+        if not (0 < self.k <= self.p) or self.n_samples <= 0:
+            raise ValueError("invalid feature-selection spec: need 0 < k <= p and "
+                             "n_samples > 0, got p=%r, n_samples=%r, k=%r"
+                             % (self.p, self.n_samples, self.k))
 
 
 @dataclass
@@ -195,6 +199,7 @@ def gen_random_ds(n, family, seed):
     both oracles are verified submodular (``is_submodular`` at tol 1e-8,
     decided from the local second differences) before release, and a
     draw that fails raises RuntimeError."""
+    n = setfn.ground_set_size(n)
     if family not in _GENERATORS:
         raise ValueError("unknown family %r" % family)
     if n > CORPUS_MAX_N:

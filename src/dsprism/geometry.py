@@ -147,14 +147,17 @@ def subdivide(S, r, lam):
     return bisect(S) if np.max(lam) >= 1.0 - 1e-9 else radial_subdivide(S, r, lam)
 
 
-# n -> (binary_points(n), the homogeneous grid it views: those rows and a ones column)
+# n -> (binary_points(n), the homogeneous grid it views: those rows and a ones
+# column), for the latest n only
 _binary_grid_cache = {}
 
 
 def binary_points(n):
     """All 2^n binary vectors as a read-only (2^n, n) array, mask-ascending
-    rows: a view of the cached homogeneous grid."""
+    rows: a view of the cached homogeneous grid.  Only the latest n's grid
+    is cached, so a grid of another n is freed once no caller holds it."""
     if n not in _binary_grid_cache:
+        _binary_grid_cache.clear()
         h = np.ones((1 << n, n + 1))
         h[:, :n] = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
         _binary_grid_cache[n] = (_read_only(h[:, :n]), _read_only(h))

@@ -19,6 +19,28 @@ class GroundSetError(ValueError):
     pass
 
 
+def is_integer(value):
+    """A Python or numpy integer; a bool is an int to Python, but not here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def ground_set_size(n):
+    """n as an int; a GroundSetError names n unless it is an integer >= 1."""
+    if not is_integer(n) or n < 1:
+        raise GroundSetError("ground set size must be an integer >= 1, got %r" % (n,))
+    return int(n)
+
+
+def check_nonnegative(name, value):
+    """A ValueError names value unless it is a finite real number >= 0
+    (a bool is not a number here)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError("%s must be finite and nonnegative, got %r" % (name, value))
+
+
 def mask_of(elements):
     """Bitmask for an iterable of element indices."""
     m = 0
@@ -68,11 +90,9 @@ class SetFunction:
 
     def __init__(self, n, fn=None, name="custom", spec=None, submodular=None,
                  table_values=None, kernel=None):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise GroundSetError("ground set size must be an integer >= 1, got %r" % (n,))
+        self.n = ground_set_size(n)
         if fn is None and kernel is None:
             raise ValueError("a set function needs fn or kernel")
-        self.n = int(n)
         self._fn = fn
         self._kernel = kernel
         self.name = name
@@ -222,6 +242,7 @@ def cut(n, edges):
     of its edges for each of the 256 subsets of its 8 elements, so a value
     is one lookup per pair that carries an edge (for n <= 8 a single table
     of 2^n entries)."""
+    n = ground_set_size(n)
     E = np.asarray(edges, dtype=float)
     if E.size == 0:
         E = E.reshape(0, 3)
@@ -332,7 +353,10 @@ def table(n, values):
     """Explicit table of 2^n finite values, indexed by mask: the oracle is its
     validated read-only array, held once (``table_values`` and
     ``spec["values"]``); a point is ``arr.item``, a block ``arr.__getitem__``."""
-    # n is bounded before the shift: 1 << n of a huge n never returns
+    # n is checked before the shift: 1 << n of a fraction fails, and of a
+    # huge n never returns
+    if not is_integer(n):
+        ground_set_size(n)  # raises
     if not (1 <= n <= MASK_BITS and np.shape(values) == (1 << n,)):
         raise ValueError("a table on n = %d elements needs n >= 1 and 2^n values, got %d values"
                          % (n, np.size(values)))
@@ -661,8 +685,10 @@ def is_submodular(oracle, tol=1e-9):
     floor(n/2) * ceil(n/2) second differences, and each d is a four-point
     value, so True bounds max_submodularity_violation(oracle) by tol (up to
     rounding), and that many times max(violation, 0) <= tol answers True.
-    A sum that overflows answers False; as_table raises on a non-finite
+    A sum that overflows answers False; a tol that is not finite and
+    nonnegative raises ValueError, and as_table raises on a non-finite
     value or n above ENUM_CAP."""
+    check_nonnegative("tol", tol)
     n = oracle.n
     d = _max_second_difference(as_table(oracle).table_values, n)
     return (n // 2) * ((n + 1) // 2) * max(d, 0.0) <= tol  # max(nan, 0.0) is nan

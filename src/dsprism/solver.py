@@ -4,7 +4,6 @@ deletion rules.
 """
 
 import heapq
-import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -13,8 +12,8 @@ import numpy as np
 from .bound import INFEASIBLE, solve_bound, vertex_levels
 from .geometry import (Polyhedron, Simplex, add_cut, binary_points, initial_simplex,
                        subdivide)
-from .setfn import (GroundSetError, as_table, brute_force_min, first_min, indicator,
-                    lovasz, lovasz_subgradient, set_of)
+from .setfn import (BLOCK, GroundSetError, as_table, brute_force_min, check_nonnegative,
+                    first_min, indicator, is_integer, lovasz, lovasz_subgradient, set_of)
 
 
 # a cut separates a point whose fhat exceeds its level by more than this
@@ -29,15 +28,14 @@ class SolverConfig:
     initial_vertex: int = 0  # cube vertex (mask) anchoring the initial simplex
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError("eps must be finite and nonnegative, got %r" % (self.eps,))
-        for name in ("max_iters", "max_nodes"):
-            limit = getattr(self, name)
-            # a bool is an int to Python, and NaN or a fraction never fires
-            if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
-                raise ValueError("%s must be an integer, got %r" % (name, limit))
-            if limit < 0:
-                raise ValueError("%s must be nonnegative, got %r" % (name, limit))
+        check_nonnegative("eps", self.eps)
+        for name in ("max_iters", "max_nodes", "initial_vertex"):
+            value = getattr(self, name)
+            # NaN or a fraction never fires as a limit, nor names a vertex
+            if not is_integer(value):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+            if value < 0:
+                raise ValueError("%s must be nonnegative, got %r" % (name, value))
 
 
 @dataclass
@@ -78,14 +76,19 @@ def cutting_plane(f, masks, t_lo):
     Returns (at, s, d): at indexes the points cut in masks, and the cuts
     t >= s.x + d, s of shape (len(at), n), are Lovasz-extension subgradient
     planes, tight at their points (s.z + d = f(z)), so each holds on the
-    whole epigraph region and cuts off (z, t_lo)."""
+    whole epigraph region and cuts off (z, t_lo).  They are formed BLOCK
+    points at a time: a point's cut depends on that point alone, so only
+    the temporaries are smaller."""
     fz = f.values(masks)
     at = np.flatnonzero(fz > t_lo + FEAS_TOL)
-    X = binary_points(f.n)[np.asarray(masks)[at]]
-    s = lovasz_subgradient(f, X)
-    # one s.x per point through matmul (an einsum sums in another order
-    # and moves d in the last digits)
-    return at, s, fz[at] - np.matmul(s[:, None, :], X[:, :, None])[:, 0, 0]
+    s, d = np.empty((len(at), f.n)), fz[at]
+    for b in range(0, len(at), BLOCK):
+        X = binary_points(f.n)[np.asarray(masks)[at[b:b + BLOCK]]]
+        s[b:b + BLOCK] = sb = lovasz_subgradient(f, X)
+        # one s.x per point through matmul (an einsum sums in another order
+        # and moves d in the last digits)
+        d[b:b + BLOCK] -= np.matmul(sb[:, None, :], X[:, :, None])[:, 0, 0]
+    return at, s, d
 
 
 def _emit(observer, event, **data):
@@ -100,7 +103,7 @@ def solve(f, g, config=None, observer=None):
     cfg = config or SolverConfig()
     n = f.n
     anchor = cfg.initial_vertex
-    if not (isinstance(anchor, (int, np.integer)) and 0 <= anchor < 1 << n):
+    if anchor >= 1 << n:
         raise ValueError("initial_vertex must be an integer mask in 0..%d, got %r"
                          % ((1 << n) - 1, anchor))
     start = time.perf_counter()

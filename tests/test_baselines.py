@@ -1,5 +1,7 @@
 """Tests for the SSP and greedy baselines."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,15 @@ def test_modular_min_matches_loop():
     assert mask == int(np.argmin(vals))
     assert val == pytest.approx(min(vals), abs=1e-12)
     assert _modular_min(np.zeros(8), np.zeros(3), 0.0) == (0, 0.0)  # smallest mask on ties
+
+
+@pytest.mark.parametrize("init", [2.5, True], ids=["fraction", "bool"])
+def test_ssp_init_is_an_integer_mask(init):
+    # int(init) started from mask 2, and True from mask 1
+    f, g = setfn.modular([1.0, -1.0, 0.5]), setfn.modular([0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match=re.escape("init must be an integer mask, got %r"
+                                                   % (init,))):
+        ssp(f, g, init=init)
 
 
 def test_ssp_worked_n1():

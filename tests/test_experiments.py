@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,19 @@ def test_fs_spec_validation():
         FsInstanceSpec(p=5, n_samples=10, k=6, lam=1.0, seed=0)
     with pytest.raises(ValueError):
         FsInstanceSpec(p=5, n_samples=10, k=2, lam=-0.5, seed=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("p", 2.5, "p must be an integer, got 2.5"),
+    ("p", 3.0, "p must be an integer, got 3.0"),
+    ("lam", float("nan"), "lam must be finite and nonnegative, got nan"),
+], ids=["p_fraction", "p_float", "lam_nan"])
+def test_fs_spec_refuses_a_bad_scalar(field, value, message):
+    # a float p failed in numpy inside gen_feature_selection, and a NaN lam
+    # passed until nuclear checked its scale
+    fields = dict(dict(p=5, n_samples=10, k=2, lam=1.0, seed=0), **{field: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FsInstanceSpec(**fields)
 
 
 def test_gen_feature_selection_shapes_and_determinism():

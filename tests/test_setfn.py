@@ -8,6 +8,7 @@ import pytest
 from helpers import set_subgradient
 
 from dsprism import setfn
+from dsprism.experiments import gen_random_ds
 from dsprism.setfn import (GroundSetError, as_table, brute_force_ds_min,
                            brute_force_min, ds_decompose, indicator, is_submodular,
                            lovasz, lovasz_subgradient, make_function, mask_of,
@@ -329,6 +330,18 @@ def test_set_function_size_is_an_integer_of_at_least_one(n):
                        + re.escape(repr(n))):
         setfn.SetFunction(n, lambda m: 0.0)
     assert setfn.SetFunction(np.int64(2), lambda m: 0.0).n == 2
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda n: setfn.cut(n, [(0, 1, 1.0)]), 2.5),
+    (lambda n: setfn.table(n, [0.0, 1.0, 2.0, 3.0]), 2.0),
+    (lambda n: gen_random_ds(n, "cut_minus_modular", 0), 2.5),
+], ids=["cut", "table", "gen_random_ds"])
+def test_a_fractional_ground_set_size_is_refused_first(make, n):
+    # each shifted or seeded with n first and ended in a bare TypeError
+    with pytest.raises(GroundSetError, match=re.escape(
+            "ground set size must be an integer >= 1, got %r" % n)):
+        make(n)
 
 
 @pytest.mark.parametrize("n, binary", [(64, False), (64, True), (70, True)])

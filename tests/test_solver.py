@@ -69,8 +69,9 @@ def test_ground_set_mismatch():
 
 
 @pytest.mark.parametrize("field", ["eps"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9, True])
 def test_config_rejects_bad_tolerances(field, bad):
+    # a bool is an int to Python: eps = True ran as 1
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: bad})
 
@@ -82,9 +83,10 @@ def test_config_rejects_negative_limits(field):
     assert getattr(SolverConfig(**{field: 0}), field) == 0
 
 
-@pytest.mark.parametrize("field", ["max_iters", "max_nodes"])
+@pytest.mark.parametrize("field", ["max_iters", "max_nodes", "initial_vertex"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, 3.0, True, False, "7", None])
 def test_config_rejects_limits_that_are_not_integers(field, bad):
+    # initial_vertex = True anchored the initial simplex at mask 1
     with pytest.raises(ValueError, match="%s must be an integer, got %r" % (field, bad)):
         SolverConfig(**{field: bad})
     assert getattr(SolverConfig(**{field: np.int64(5)}), field) == 5
@@ -184,6 +186,50 @@ def test_block_cutting_planes_match_single_point_cuts():
             # tight at its own binary point: s.I_A + d = f(A)
             assert abs(float(S[j] @ X[j]) + d[j] - f(int(m))) <= 1e-12
     assert cutting_plane(f, masks[:2], f.table_values[masks[:2]])[0].size == 0
+
+
+def cut_oracle(n, seed):
+    """A tabulated graph cut on n elements, edges drawn as in the corpus."""
+    rng = np.random.default_rng([seed, n])
+    return as_table(setfn.cut(n, [(u, v, float(rng.uniform(0.1, 1.0)))
+                                  for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < 0.6]))
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_cuts_formed_in_blocks_equal_one_block_bitwise(n, monkeypatch):
+    # a point's cut depends on that point alone, so cuts formed BLOCK points
+    # at a time, or in blocks of any other size, are the bits of one block
+    rng = np.random.default_rng(n)
+    f = cut_oracle(n, 1)
+    masks = rng.permutation(1 << n)
+    t_lo = f.values(masks) - rng.uniform(-0.5, 1.0, size=len(masks))  # a third not cut
+    at, s, d = cutting_plane(f, masks, t_lo)
+    assert setfn.BLOCK < len(at) < len(masks)  # more than one block
+    for block in (1 << n, 7, 1000):
+        monkeypatch.setattr(solver, "BLOCK", block)
+        at1, s1, d1 = cutting_plane(f, masks, t_lo)
+        assert at1.tobytes() == at.tobytes()
+        assert s1.tobytes() == s.tobytes() and d1.tobytes() == d.tobytes()
+
+
+def test_cutting_plane_peak_memory_is_bounded_by_its_output():
+    # formed BLOCK points at a time, the cuts' temporaries stay below their
+    # (2^n, n) output at n = 14; formed in one block they came to about five
+    # times it (points, sort order, chain masks and values, differences)
+    n = 14
+    f = setfn.table(n, np.random.default_rng(0).normal(size=1 << n))
+    masks = np.arange(1 << n)
+    t_lo = np.full(1 << n, float(np.min(f.table_values)) - 1.0)
+    binary_points(n)  # the cached grid is not the cut step's own
+    tracemalloc.start()
+    try:
+        at, s, d = cutting_plane(f, masks, t_lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(at) == 1 << n and s.shape == (1 << n, n)
+    assert peak <= 4 * s.nbytes
 
 
 def test_cut_minus_modular_n12_memory():

@@ -1,6 +1,7 @@
 """is_submodular and ds_decompose, which decide from local second
 differences, against the exhaustive four-point check."""
 
+import re
 import sys
 import tracemalloc
 
@@ -118,11 +119,17 @@ def test_each_branch_of_the_local_rule():
     assert max_submodularity_violation(halves) > 1e-8
 
 
-def test_negative_or_nan_tol_is_never_met():
-    t = setfn.table(3, -np.bitwise_count(np.arange(8)) ** 2.0)
-    assert is_submodular(t, tol=0.5)
-    assert not is_submodular(t, tol=-1.0)  # A = B gives the four-point value 0
-    assert not is_submodular(t, tol=float("nan"))
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), True],
+                         ids=["nan", "negative", "inf", "bool"])
+def test_is_submodular_refuses_a_tol_that_is_not_finite_and_nonnegative(tol):
+    # a NaN or negative tol answered False for every table, an infinite one
+    # True, and True ran as 1
+    t = setfn.table(2, [0.0, 0.0, 0.0, 5.0])  # its one second difference is 5
+    assert is_submodular(t, tol=5.0) and not is_submodular(t, tol=4.0)
+    message = ("tol must be a number, got True" if tol is True
+               else "tol must be finite and nonnegative, got %r" % tol)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        is_submodular(t, tol=tol)
 
 
 def test_non_finite_values_never_read_as_submodular():
