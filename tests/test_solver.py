@@ -188,20 +188,13 @@ def test_block_cutting_planes_match_single_point_cuts():
     assert cutting_plane(f, masks[:2], f.table_values[masks[:2]])[0].size == 0
 
 
-def cut_oracle(n, seed):
-    """A tabulated graph cut on n elements, edges drawn as in the corpus."""
-    rng = np.random.default_rng([seed, n])
-    return as_table(setfn.cut(n, [(u, v, float(rng.uniform(0.1, 1.0)))
-                                  for u in range(n) for v in range(u + 1, n)
-                                  if rng.random() < 0.6]))
-
-
 @pytest.mark.parametrize("n", [13, 14])
 def test_cuts_formed_in_blocks_equal_one_block_bitwise(n, monkeypatch):
     # a point's cut depends on that point alone, so cuts formed BLOCK points
     # at a time, or in blocks of any other size, are the bits of one block
     rng = np.random.default_rng(n)
-    f = cut_oracle(n, 1)
+    f = as_table(setfn.cut(n, [(u, v, float(rng.uniform(0.1, 1.0)))
+                               for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]))
     masks = rng.permutation(1 << n)
     t_lo = f.values(masks) - rng.uniform(-0.5, 1.0, size=len(masks))  # a third not cut
     at, s, d = cutting_plane(f, masks, t_lo)
