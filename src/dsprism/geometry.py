@@ -4,8 +4,9 @@ All values are immutable after construction; operations return fresh
 objects.  The polyhedron lives in (x, t)-space and outer-approximates the
 epigraph region {x in the cube, fhat(x) <= t}: it is the enclosing simplex
 S0 with a floor t >= t_tilde, cut down by subgradient planes t >= s.x + d
-(Kelley's cutting-plane model), and it keeps the lowest admitted t at every
-binary point.  A cut taken at a binary point z is tight there (s.z + d =
+(Kelley's cutting-plane model).  It keeps only the lowest admitted t at
+every binary point, not the cut rows: each cut is folded into those levels
+as it arrives.  A cut taken at a binary point z is tight there (s.z + d =
 f(z)), and for submodular f no valid cut rises above f(z) at z, so the
 polyhedron fixes t at a cut point to that cut's value and folds later cuts
 only into the binary points not cut yet.
@@ -189,48 +190,48 @@ class CutPointError(ValueError):
 
 class Polyhedron:
     """Kelley's cutting-plane model of the epigraph region over the simplex
-    domain S0: {(x, t) : x in S0, t >= t_tilde, t >= s_j.x + d_j for all j}.
+    domain S0: {(x, t) : x in S0, t >= t_tilde, t >= s_j.x + d_j for all j},
+    held by its levels at the binary points, not by its rows.
 
-    Its rows are the floor t >= t_tilde followed by the cuts, kept in the
-    read-only arrays s (one row per cut) and d.  t_lo holds the lowest t
-    the polyhedron admits at every binary point x, in mask order: Kelley's
-    max(t_tilde, max_j s_j.x + d_j), except at a cut point, one of the
-    binary points cut marks.  There the cut is a tight subgradient of the
-    Lovasz extension, which is exact at binary points, so no valid cut
-    rises above it: t_lo at a cut point is final.  A polyhedron never
-    changes: add_cut returns a new one with both arrays brought up to date.
+    t_lo holds the lowest t the polyhedron admits at every binary point x,
+    in mask order: Kelley's max(t_tilde, max_j s_j.x + d_j), except at a cut
+    point, one of the binary points cut marks.  There the cut is a tight
+    subgradient of the Lovasz extension, which is exact at binary points, so
+    no valid cut rises above it: t_lo at a cut point is final.  Every cut is
+    taken at its own point, so the rows, the floor and one per cut, number
+    1 + count_nonzero(cut).  A polyhedron never changes: add_cut returns a
+    new one with both arrays brought up to date.
     """
 
-    __slots__ = ("domain", "t_tilde", "s", "d", "t_lo", "cut")
+    __slots__ = ("domain", "t_tilde", "t_lo", "cut")
 
     def __init__(self, domain, t_tilde):
         """The domain with the floor t >= t_tilde and no cuts."""
         self.domain, self.t_tilde = domain, float(t_tilde)
-        self.s = _read_only(np.empty((0, domain.n)))
-        self.d = _read_only(np.empty(0))
         self.t_lo = _read_only(np.full(1 << domain.n, self.t_tilde))
         self.cut = _read_only(np.zeros(1 << domain.n, dtype=bool))
 
     @property
     def num_rows(self):
-        """The floor plus the cuts."""
-        return 1 + len(self.d)
+        """The floor plus the cuts, one per cut point."""
+        return 1 + int(np.count_nonzero(self.cut))
 
     def __repr__(self):
         return "Polyhedron(rows=%d)" % self.num_rows
 
 
 def add_cut(P, s, d, masks):
-    """P with the cuts t >= s_j.x + d_j appended, the cut j taken at the
+    """P with the cuts t >= s_j.x + d_j added, the cut j taken at the
     binary point masks[j]: s of shape (k, n), d and masks of length k (or
     one cut as s of shape (n,), a scalar d and one mask).
 
     Each cut must be tight at its point, as the Lovasz-extension
     subgradients of ``solver.cutting_plane`` are.  The new cuts are folded
     into t_lo at once: at the points not cut yet, and at each new cut point
-    as the larger of its value before and the cut's own value s.z + d.  A
-    binary point is cut at most once: a mask outside the cube, given twice
-    or cut before, or an s of another shape, raises CutPointError.
+    as the larger of its value before and the cut's own value s.z + d.  The
+    rows themselves are not kept.  A binary point is cut at most once: a
+    mask outside the cube, given twice or cut before, or an s of another
+    shape, raises CutPointError.
     """
     s, d = np.asarray(s, dtype=float), np.asarray(d, dtype=float)
     n = P.domain.n
@@ -251,17 +252,15 @@ def add_cut(P, s, d, masks):
         m = next(m for i, m in enumerate(masks.tolist()) if P.cut[m] or m in masks[:i])
         raise CutPointError("cut point mask %d %s" % (m, "was cut before" if P.cut[m]
                                                       else "given twice"))
-    Q = object.__new__(Polyhedron)
-    Q.domain, Q.t_tilde = P.domain, P.t_tilde
-    Q.s = _read_only(np.concatenate([P.s, s.reshape(-1, s.shape[-1])]))
-    Q.d = _read_only(np.concatenate([P.d, d.reshape(-1)]))
-    # the new rows read back as contiguous float rows, whatever s's layout
-    s, d = Q.s[len(P.d):], Q.d[len(P.d):]
+    # contiguous float rows, whatever s's layout, so the fold sums alike
+    s, d = np.ascontiguousarray(s.reshape(-1, n)), d.reshape(-1)
     X = binary_points(n)
     at = np.flatnonzero(~cut)
     t_lo = P.t_lo.copy()
     t_lo[at] = _fold_cuts(s, d, X[at], t_lo[at])
     own = np.matmul(s[:, None, :], X[masks][:, :, None])[:, 0, 0] + d
     t_lo[masks] = np.maximum(t_lo[masks], own)
+    Q = object.__new__(Polyhedron)
+    Q.domain, Q.t_tilde = P.domain, P.t_tilde
     Q.t_lo, Q.cut = _read_only(t_lo), _read_only(cut)
     return Q

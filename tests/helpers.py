@@ -1,7 +1,10 @@
 """Reference computations the tests check the package against.
 
-``contains``, ``volume_measure`` and ``t_interval`` test a point against a
-simplex, measure a simplex and read the polyhedron's t-range at one point; ``hyperplane_through`` and
+``contains`` and ``volume_measure`` test a point against a simplex and
+measure a simplex; ``kelley`` is Kelley's value of a floor and cut rows the
+test holds, ``cut_rows`` the rows a solve's cut events carry, and
+``t_interval`` the t-range of a polyhedron and such rows at one point
+(a polyhedron keeps only its levels); ``hyperplane_through`` and
 ``equivalence_check`` give the hyperplane form of the bound program.
 ``second_difference_by_pair`` and ``exhaustive_decompose`` are the per-pair
 and both-sides-checked forms of ``setfn._max_second_difference`` and
@@ -27,15 +30,30 @@ def volume_measure(S):
     return abs(det((S.vertices[1:] - S.vertices[0]).T))
 
 
-def t_interval(P, x, tol=1e-9):
-    """Feasible t-range (t_lo, inf) of the polyhedron P at a fixed x, or None
-    when x lies outside the domain by more than tol.  This is Kelley's value
-    over all cuts; at a cut point it may differ from the t_lo array in the
-    last digits."""
-    x = np.asarray(x, dtype=float)
+def kelley(t_tilde, s, d, X):
+    """Kelley's value max(t_tilde, max_j s_j.x + d_j) of the cuts s (k, n)
+    and d (k,), computed directly at a point x (n,) or at each row of X
+    (m, n)."""
+    X = np.asarray(X, dtype=float)
+    s, d = np.reshape(s, (-1, X.shape[-1])), np.reshape(d, -1)
+    return np.maximum(t_tilde, np.max(X @ s.T + d, axis=-1, initial=-np.inf))
+
+
+def cut_rows(events):
+    """The rows (s, d) of a solve's ``cut`` events, in the order emitted.
+    A solve's polyhedra form one chain, so a polyhedron P of the solve is
+    the floor and the first P.num_rows - 1 of these rows."""
+    return np.array([e["row"][0] for e in events]), np.array([e["row"][1] for e in events])
+
+
+def t_interval(P, s, d, x, tol=1e-9):
+    """Feasible t-range (t_lo, inf) at a fixed x of the polyhedron with P's
+    domain and floor and the cuts (s, d), or None when x lies outside the
+    domain by more than tol.  This is Kelley's value over all cuts; at a
+    cut point it may differ from P's t_lo array in the last digits."""
     if not contains(P.domain, x, tol):
         return None
-    return max(P.t_tilde, float(np.max(P.s @ x + P.d, initial=-np.inf))), np.inf
+    return float(kelley(P.t_tilde, s, d, x)), np.inf
 
 
 def hyperplane_through(points, heights):

@@ -17,7 +17,7 @@ from dsprism.geometry import barycentric, bisect, initial_simplex
 from dsprism.setfn import (as_table, brute_force_ds_min, indicator, lovasz,
                            lovasz_subgradient, mask_of)
 from dsprism.solver import solve
-from helpers import contains, equivalence_check, t_interval, volume_measure
+from helpers import contains, cut_rows, equivalence_check, t_interval, volume_measure
 
 
 def _report(num, name, ok, detail=""):
@@ -112,15 +112,17 @@ def test_criterion_3_bound_problem_invariants(instrumented_runs):
         gt = run["gt"]
         n = gt.n
         grid = binary_points(n)
+        s, d = cut_rows(run["cuts"])
         for data in run["nodes"]:
             S, P, levels, res = (data["simplex"], data["polyhedron"],
                                  data["levels"], data["bound"])
+            k = P.num_rows - 1  # P's rows: the first k of the solve's cuts
             # (a) infeasibility iff exhaustive absence of binary feasible points
             lam = barycentric(S, grid)
             inside = np.min(lam, axis=1) >= -MEMBERSHIP_TOL
             any_feasible = False
             for m in np.nonzero(inside)[0]:
-                iv = t_interval(P, grid[m], tol=feas_tol)
+                iv = t_interval(P, s[:k], d[:k], grid[m], tol=feas_tol)
                 if iv is not None and iv[0] <= iv[1] + feas_tol:
                     any_feasible = True
                     break

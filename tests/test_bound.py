@@ -153,11 +153,13 @@ def assert_same_bound(a, b, P, Q):
     assert np.array_equal(P.t_lo[a.feasible_points], Q.t_lo[b.feasible_points])
 
 
-def fresh_copy(P, masks):
-    """P rebuilt in one piece: the same floor and cuts, taken at masks in
-    cut order, added as one block."""
-    return add_cut(Polyhedron(P.domain, P.t_tilde), P.s, P.d,
-                   np.array(masks[:len(P.d)], dtype=np.int64))
+def fresh_copy(P, s, d, masks):
+    """P rebuilt in one piece: the same floor and its cuts, the first
+    P.num_rows - 1 rows of (s, d), taken at masks in cut order, added as
+    one block."""
+    k = P.num_rows - 1
+    return add_cut(Polyhedron(P.domain, P.t_tilde), s[:k], d[:k],
+                   np.array(masks[:k], dtype=np.int64))
 
 
 def test_solve_bound_on_grown_polyhedron_matches_fresh():
@@ -173,18 +175,19 @@ def test_solve_bound_on_grown_polyhedron_matches_fresh():
     P = Polyhedron(S, t_tilde=-3.0)
     grown = [P]
     cut_at = [3, 5, 6, 9, 12, 15]
-    for mask in cut_at:
-        x = indicator(mask, n)
-        s = lovasz_subgradient(f, x)
-        P = add_cut(P, s, lovasz(f, x) - float(s @ x), mask)
+    X = [indicator(mask, n) for mask in cut_at]
+    s = np.array([lovasz_subgradient(f, x) for x in X])
+    d = np.array([lovasz(f, x) - float(r @ x) for x, r in zip(X, s)])
+    for j, mask in enumerate(cut_at):
+        P = add_cut(P, s[j], d[j], mask)
         grown.append(P)
         for T in (S, sub):
-            F = fresh_copy(P, cut_at)
+            F = fresh_copy(P, s, d, cut_at)
             assert_same_bound(solve_bound(T, P, levels[T], g),
                               solve_bound(T, F, levels[T], g), P, F)
     for Q in (grown[2], grown[-1], grown[0], grown[-1]):
         for T in (S, sub):
-            F = fresh_copy(Q, cut_at)
+            F = fresh_copy(Q, s, d, cut_at)
             assert_same_bound(solve_bound(T, Q, levels[T], g),
                               solve_bound(T, F, levels[T], g), Q, F)
 

@@ -12,7 +12,7 @@ from dsprism.geometry import (CutPointError, DegenerateSimplexError, Polyhedron,
 from dsprism.numerics import lu_solve
 from dsprism.setfn import indicator
 from dsprism.solver import cutting_plane
-from helpers import contains, hyperplane_through, t_interval, volume_measure
+from helpers import contains, hyperplane_through, kelley, t_interval, volume_measure
 
 
 def random_simplex(n, rng):
@@ -191,10 +191,11 @@ def test_hyperplane_through():
 def test_polyhedron_t_interval():
     # domain [0, 1] as a 1-simplex, floor t >= 0, cut t >= x0 - 0.25
     S = Simplex(np.array([[0.0], [1.0]]))
-    P = add_cut(Polyhedron(S, t_tilde=0.0), np.array([1.0]), -0.25, 1)
-    assert t_interval(P, np.array([0.5])) == (pytest.approx(0.25), np.inf)
-    assert t_interval(P, np.array([0.1])) == (0.0, np.inf)  # the floor binds
-    assert t_interval(P, np.array([2.0])) is None
+    s, d = np.array([1.0]), -0.25
+    P = add_cut(Polyhedron(S, t_tilde=0.0), s, d, 1)
+    assert t_interval(P, s, d, np.array([0.5])) == (pytest.approx(0.25), np.inf)
+    assert t_interval(P, s, d, np.array([0.1])) == (0.0, np.inf)  # the floor binds
+    assert t_interval(P, s, d, np.array([2.0])) is None
 
 
 def test_initial_polyhedron_matches_simplex_membership():
@@ -204,7 +205,7 @@ def test_initial_polyhedron_matches_simplex_membership():
     P = Polyhedron(S, t_tilde=-1.0)
     for _ in range(50):
         x = rng.uniform(-0.5, 1.5, size=n)
-        iv = t_interval(P, x, tol=1e-9)
+        iv = t_interval(P, [], [], x, tol=1e-9)  # no cuts
         assert (iv is not None) == contains(S, x, tol=1e-9)
         if iv is not None:
             assert iv[0] == pytest.approx(-1.0)
@@ -217,7 +218,8 @@ def test_add_cut_appends_row():
     P2 = add_cut(P, np.array([1.0, 0.0]), 0.25, 0)
     assert P2.num_rows == rows + 1
     assert P.num_rows == rows  # original untouched
-    assert P2.d[-1] == 0.25
+    assert P2.t_lo[0] == 0.25  # the cut's own value at its point
+    assert P.t_lo[0] == 0.0 and not P.cut.any()
 
 
 def random_cuts(n, k, rng):
@@ -234,44 +236,61 @@ def tight(f, masks):
     return s, d
 
 
-def kelley(Q):
-    """max(t_tilde, max_j s_j.x + d_j) at every binary point, directly."""
-    X = binary_points(Q.domain.n)
-    return np.maximum(Q.t_tilde, np.max(Q.s @ X.T + Q.d[:, None], axis=0, initial=-np.inf))
+def grow(f, P, s, d, *blocks):
+    """P with the tight cuts of f at each block of masks added, a block at a
+    time, and the rows (s, d) with those cuts appended: the rows of the
+    polyhedron returned, which keeps none of them itself."""
+    for masks in blocks:
+        S, D = tight(f, masks)
+        P, s, d = add_cut(P, S, D, masks), np.vstack([s, S]), np.append(d, D)
+    return P, s, d
 
 
 def test_add_cut_twice_on_same_polyhedron_is_independent():
     rng = np.random.default_rng(6)
-    P = add_cut(Polyhedron(initial_simplex(3), t_tilde=-1.0), *random_cuts(3, 3, rng), [0, 1, 2])
-    s, d = P.s.copy(), P.d.copy()
-    S, dd = random_cuts(3, 2, rng)
+    n = 3
+    X = binary_points(n)
+    s, d = random_cuts(n, 3, rng)
+    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=-1.0), s, d, [0, 1, 2])
+    t_lo, cut = P.t_lo.copy(), P.cut.copy()
+    S, dd = random_cuts(n, 2, rng)
     P1 = add_cut(P, S[0], dd[0], 3)
     P2 = add_cut(P, S[1], dd[1], 4)
-    for Q, j in ((P1, 0), (P2, 1)):
+    for Q, j, m in ((P1, 0, 3), (P2, 1, 4)):
         assert Q.num_rows == P.num_rows + 1
-        assert np.array_equal(Q.s[:-1], s) and np.array_equal(Q.d[:-1], d)
-        assert np.array_equal(Q.s[-1], S[j]) and Q.d[-1] == dd[j]
+        assert np.array_equal(np.flatnonzero(Q.cut), [0, 1, 2, m])
+        # P's cut points keep their levels; P's rows and this cut only
+        # elsewhere; at the new point the larger of its level and the cut
+        assert np.array_equal(Q.t_lo[cut], t_lo[cut])
+        uncut = ~Q.cut
+        assert np.allclose(Q.t_lo[uncut], kelley(-1.0, np.vstack([s, S[j]]),
+                                                 np.append(d, dd[j]), X[uncut]),
+                           rtol=0.0, atol=1e-12)
+        assert Q.t_lo[m] == max(t_lo[m], own_values((S[j:j + 1], dd[j:j + 1]), [m])[0])
         assert Q.t_tilde == -1.0 and Q.domain is P.domain
     assert P.num_rows == len(d) + 1
-    assert np.array_equal(P.s, s) and np.array_equal(P.d, d)
-    for view in (P1.s[0], P1.d):
+    assert np.array_equal(P.t_lo, t_lo) and np.array_equal(P.cut, cut)
+    for view in (P1.t_lo, P1.cut):
         with pytest.raises(ValueError):
-            view[0] = 5.0  # cuts are read-only views
+            view[0] = 5.0  # the levels are read-only
 
 
 def test_branched_polyhedra_fold_only_their_own_cuts():
     # tight cuts, as the solver adds: no later cut rises above one at its
     # point, so t_lo is Kelley's value there too
     f = CUT_4
-    P = add_cut(Polyhedron(initial_simplex(4), t_tilde=-1.0), *tight(f, [1, 4, 8, 11]),
-                [1, 4, 8, 11])
-    P1 = add_cut(P, *tight(f, [2, 13]), [2, 13])
-    P2 = add_cut(add_cut(P, *tight(f, [0]), [0]), *tight(f, [6, 7, 15]), [6, 7, 15])
-    for Q in (P2, P1, P):
-        assert np.allclose(Q.t_lo, kelley(Q), rtol=0.0, atol=1e-12)
+    X = binary_points(4)
+    P = grow(f, Polyhedron(initial_simplex(4), t_tilde=-1.0), np.empty((0, 4)), [],
+             [1, 4, 8, 11])
+    P1 = grow(f, *P, [2, 13])
+    P2 = grow(f, *P, [0], [6, 7, 15])
+    for Q, s, d in (P2, P1, P):  # each polyhedron with its own rows
+        assert np.allclose(Q.t_lo, kelley(Q.t_tilde, s, d, X), rtol=0.0, atol=1e-12)
 
 
-def test_block_add_cut_equals_rows_one_at_a_time():
+def cuts_in_a_block_and_one_at_a_time():
+    """37 tight cuts of a random cut function on n = 6, added to a fresh
+    polyhedron as one block and one cut at a time: (block, one, s, d)."""
     rng = np.random.default_rng(7)
     n = 6
     f = setfn.as_table(setfn.cut(n, [(i, j, rng.uniform(0.1, 1.0)) for i in range(n)
@@ -282,12 +301,26 @@ def test_block_add_cut_equals_rows_one_at_a_time():
     one = P
     for j in range(len(d)):
         one = add_cut(one, S[j], d[j], masks[j])
-    block = add_cut(P, S, d, masks)
-    assert block.num_rows == one.num_rows == P.num_rows + 37
-    for name in ("s", "d"):
-        assert np.array_equal(getattr(block, name), getattr(one, name))
+    return add_cut(P, S, d, masks), one, S, d
+
+
+def test_block_add_cut_equals_rows_one_at_a_time():
+    block, one, S, d = cuts_in_a_block_and_one_at_a_time()
+    assert block.num_rows == one.num_rows == 1 + 37
+    assert np.array_equal(block.cut, one.cut)
     for Q in (block, one):  # one matmul or 37 folds: equal to rounding
-        assert np.allclose(Q.t_lo, kelley(Q), rtol=0.0, atol=1e-12)
+        assert np.allclose(Q.t_lo, kelley(Q.t_tilde, S, d, binary_points(6)),
+                           rtol=0.0, atol=1e-12)
+
+
+def test_polyhedron_size_does_not_grow_with_its_cuts():
+    # a polyhedron holds its levels at the 2^n binary points and no cut rows
+    for Q in cuts_in_a_block_and_one_at_a_time()[:2]:
+        n = Q.domain.n
+        arrays = [getattr(Q, name) for name in Polyhedron.__slots__
+                  if isinstance(getattr(Q, name), np.ndarray)]
+        assert len(arrays) >= 2 and all(a.size == 1 << n for a in arrays)
+        assert Q.num_rows == 1 + np.count_nonzero(Q.cut) == 38
 
 
 def test_binary_bounds_match_t_interval():
@@ -296,10 +329,11 @@ def test_binary_bounds_match_t_interval():
     f = setfn.as_table(setfn.cut(n, [(0, 1, 0.7), (1, 2, 0.4), (0, 2, 0.9)]))
     P = Polyhedron(initial_simplex(n, v_mask=5), t_tilde=-2.0)
     masks = rng.choice(1 << n, size=6, replace=False)
-    P = add_cut(P, *tight(f, masks), masks)
+    s, d = tight(f, masks)
+    P = add_cut(P, s, d, masks)
     t_lo = P.t_lo
     for m, x in enumerate(binary_points(n)):
-        assert t_interval(P, x) == (pytest.approx(t_lo[m], abs=1e-12), np.inf)
+        assert t_interval(P, s, d, x) == (pytest.approx(t_lo[m], abs=1e-12), np.inf)
     with pytest.raises(ValueError):
         t_lo[0] = 0.0  # the array is read-only
 
@@ -314,16 +348,17 @@ def own_values(cuts, masks):
 def test_cut_points_are_final_and_kept_per_branch():
     n = 4
     f = CUT_4
+    X = binary_points(n)
     A, B1, B2a, B2b = [3, 5], [6, 9, 12], [10], [7, 15]
-    P = add_cut(Polyhedron(initial_simplex(n), t_tilde=-1.0), *tight(f, A), A)
+    P, s, d = grow(f, Polyhedron(initial_simplex(n), t_tilde=-1.0), np.empty((0, n)), [], A)
     base = P.t_lo
-    P1 = add_cut(P, *tight(f, B1), B1)
-    P2 = add_cut(add_cut(P, *tight(f, B2a), B2a), *tight(f, B2b), B2b)  # two steps
+    P1, s1, d1 = grow(f, P, s, d, B1)
+    P2, s2, d2 = grow(f, P, s, d, B2a, B2b)  # two steps
     own = {m: v for ms in (A, B1, B2a, B2b) for m, v in zip(ms, own_values(tight(f, ms), ms))}
-    for Q, cut_at in ((P2, A + B2a + B2b), (P1, A + B1), (P, A)):
+    for Q, s, d, cut_at in ((P2, s2, d2, A + B2a + B2b), (P1, s1, d1, A + B1), (P, s, d, A)):
         t_lo = Q.t_lo
         # its own cuts only: Kelley's value over Q's cuts, to rounding
-        assert np.allclose(t_lo, kelley(Q), rtol=0.0, atol=1e-12)
+        assert np.allclose(t_lo, kelley(Q.t_tilde, s, d, X), rtol=0.0, atol=1e-12)
         assert np.array_equal(t_lo[cut_at], [own[m] for m in cut_at])
         assert np.array_equal(np.flatnonzero(Q.cut), sorted(cut_at))
         assert np.array_equal(t_lo[A], base[A])  # later cuts leave A as it was

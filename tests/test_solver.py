@@ -12,6 +12,7 @@ from dsprism.experiments import FAMILIES, gen_random_ds
 from dsprism.geometry import barycentric, binary_points
 from dsprism.setfn import as_table, brute_force_ds_min, indicator, lovasz
 from dsprism.solver import FEAS_TOL, SolverConfig, cutting_plane, solve
+from helpers import cut_rows, kelley
 
 
 def worked_pair():
@@ -477,25 +478,27 @@ def test_binary_t_lo_of_solver_polyhedra():
             inst = gen_random_ds(n, family, 0)
             f = as_table(inst.f).table_values
             for v in (0, (1 << n) - 1):
-                polyhedra, cuts = {}, []
+                polyhedra, events, cuts = {}, [], []
 
-                def observer(event, data, polyhedra=polyhedra, cuts=cuts):
+                def observer(event, data, polyhedra=polyhedra, events=events, cuts=cuts):
                     if event == "node_bound":
                         polyhedra[id(data["polyhedron"])] = data["polyhedron"]
                     elif event == "cut":
+                        events.append(data)
                         s, d = data["row"]
                         m = data["z"][0]
                         own = np.matmul(s[None, None, :], X[m][None, :, None])[0, 0, 0] + d
                         cuts.append((m, own))
 
                 solve(inst.f, inst.g, SolverConfig(initial_vertex=v), observer=observer)
+                s, d = cut_rows(events)
                 for P in polyhedra.values():
                     t_lo = P.t_lo
-                    direct = np.maximum(P.t_tilde, np.max(P.s @ X.T + P.d[:, None], axis=0,
-                                                          initial=-np.inf))
+                    k = P.num_rows - 1  # P's rows: the first k of the solve's cuts
+                    direct = kelley(P.t_tilde, s[:k], d[:k], X)
                     assert np.all(np.abs(t_lo - direct) <= 1e-12 * np.maximum(1.0, np.abs(f)))
                     assert np.all(t_lo <= f + FEAS_TOL)
-                    for m, own in cuts[:len(P.d)]:
+                    for m, own in cuts[:k]:
                         assert t_lo[m] == own
                         checked += 1
     assert checked > 1000

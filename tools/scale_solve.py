@@ -8,7 +8,7 @@ drawn from ``numpy.random.default_rng([0, 0])``), tabulates both oracles,
 then times ``solve`` on the two tables.  It prints one line, and exits 1
 when the solve does not end optimal:
 
-    cut-minus-modular n = 16: solve 0.18 s, peak RSS 92 MB, optimal
+    cut-minus-modular n = 16: solve 0.18 s, peak RSS 74 MB, optimal
 
 Peak RSS is ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` of the whole
 process, so run the script in a fresh interpreter, one size per run.  BLAS
