@@ -4,7 +4,7 @@ and greedy forward selection."""
 import random
 from dataclasses import dataclass
 
-from .bound import binary_points
+from .geometry import binary_points
 from .setfn import (GroundSetError, as_table, chain_subgradient, first_min, is_integer,
                     set_of)
 

@@ -56,14 +56,7 @@ def set_of(mask):
     """Sorted element indices of a bitmask."""
     if mask < 0:
         raise GroundSetError("mask %d is negative; a subset mask is nonnegative" % mask)
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(int(mask).bit_length()) if mask >> i & 1]
 
 
 def indicator(mask, n):
@@ -208,6 +201,7 @@ def modular(weights):
 
 def cardinality_concave(n, phi):
     """phi applied to |A|; phi is a list of n+1 values, concave nondecreasing."""
+    n = ground_set_size(n)
     phi = _finite("phi[%d]", phi, 1).tolist()
     if len(phi) != n + 1:
         raise ValueError("phi must have n+1 values")
@@ -371,6 +365,7 @@ def coverage(n, item_weights, covers):
 
     A value ORs one cover table per 8-element slice of A into the covered
     items, then sums one weight table per 8-item slice of those."""
+    n = ground_set_size(n)
     w = _finite("item_weights[%d]", item_weights, 1)
     if np.any(w < 0):
         raise ValueError("coverage item weights must be nonnegative")

@@ -43,7 +43,7 @@ class Node:
     simplex: Simplex  # base of the node's prism
     ghat: np.ndarray  # Lovasz extension of g at the simplex vertices
     bound: object  # BoundResult
-    rows_seen: int  # P row count the stored bound was computed against
+    cuts_seen: int  # the solve's cut count when the stored bound was computed
 
 
 @dataclass
@@ -140,25 +140,27 @@ def solve(f, g, config=None, observer=None):
     nodes_created = 0  # also the id of the next region
     deleted = {"dr1": 0, "dr2": 0, "bound": 0}
     cuts_added = 0
-    closed_bounds = []  # certified lower bounds of all closed regions
+    lower = np.inf  # least certified lower bound of a closed region
     heap = []  # open regions as (beta, id, Node): best-first, ties by smallest id
 
+    def bound_rule(beta):
+        """The bound rule: a region bounded by beta cannot improve on the incumbent."""
+        return beta >= inc_val - cfg.eps * max(1.0, abs(inc_val))
+
     def classify(res, beta):
-        """Deletion rule that closes a region whose bound program gave res
-        (None: only the stored bound beta is tested), or None to keep it."""
-        if res is not None and res.status == INFEASIBLE:
+        """Deletion rule closing a region of bound result res and bound beta, or None."""
+        if res.status == INFEASIBLE:
             return "dr1"
-        if res is not None and res.c_star <= 0.0:
+        if res.c_star <= 0.0:
             return "dr2"
-        if beta >= inc_val - cfg.eps * max(1.0, abs(inc_val)):
-            return "bound"
-        return None
+        return "bound" if bound_rule(beta) else None
 
     def close(nid, reason, S, beta):
         """Delete a region; all but dr1 (empty region) certify beta."""
+        nonlocal lower
         deleted[reason] += 1
         if reason != "dr1":
-            closed_bounds.append(beta)
+            lower = min(lower, beta)
         _emit(observer, "delete", node_id=nid, reason=reason, simplex=S,
               bound_value=beta, alpha=inc_val)
 
@@ -182,14 +184,14 @@ def solve(f, g, config=None, observer=None):
 
     def bound_child(S, ghat, parent_beta):
         """Bound a new region and open it unless a deletion rule closes it
-        (with its certified bound in closed_bounds); returns its trace entry."""
+        (its certified bound folded into lower); returns its trace entry."""
         nonlocal nodes_created
         nid = nodes_created
         nodes_created += 1
         res, beta, reason = bound_region(nid, S, ghat, parent_beta, new=True)
         if reason is None:
             heapq.heappush(heap, (beta, nid, Node(simplex=S, ghat=ghat, bound=res,
-                                                  rows_seen=P.num_rows)))
+                                                  cuts_seen=cuts_added)))
         return {"id": nid, "status": res.status, "c_star": res.c_star,
                 "beta": None if reason == "dr1" else beta, "deleted_by": reason}
 
@@ -210,17 +212,17 @@ def solve(f, g, config=None, observer=None):
             termination = "node_limit"
             break
         # best-first selection; the bound rule closes an open region here and
-        # only here.  The stored bound is refreshed against the current P (cuts
-        # only tighten it), so regions that close under the grown polyhedron
-        # are deleted without expansion
+        # only here.  A bound stored before the latest cuts is refreshed against
+        # the current P (cuts only tighten it), so regions that close under the
+        # grown polyhedron are deleted without expansion
         beta, nid, node = heapq.heappop(heap)
         S = node.simplex
-        if classify(None, beta):
+        if bound_rule(beta):
             close(nid, "bound", S, beta)
             continue
-        if P.num_rows > node.rows_seen:
+        if cuts_added > node.cuts_seen:
             node.bound, new_beta, reason = bound_region(nid, S, node.ghat, beta, new=False)
-            node.rows_seen = P.num_rows
+            node.cuts_seen = cuts_added
             if reason is not None:
                 continue
             if new_beta > beta:
@@ -239,13 +241,15 @@ def solve(f, g, config=None, observer=None):
         t_lo = P.t_lo[res.feasible_points]
         at, s, d = cutting_plane(ft, res.feasible_points, t_lo)
         masks, t_lo = res.feasible_points[at], t_lo[at]
-        if len(masks):
+        cuts = len(masks)
+        if cuts:
             P = add_cut(P, s, d, masks)
-            cuts_added += len(masks)
+            cuts_added += cuts
             if observer is not None:
-                for j in range(len(masks)):
+                for j in range(cuts):
                     _emit(observer, "cut", row=(s[j], float(d[j])), z=(int(masks[j]), t_lo[j]),
                           violation=ft.table_values[masks[j]] - t_lo[j])
+        del at, s, d, masks, t_lo  # the children are bounded without the cut rows
 
         # subdivide at the witness so it becomes a vertex of every child:
         # together with the cut this caps its bound contribution at
@@ -262,12 +266,11 @@ def solve(f, g, config=None, observer=None):
             ghat[i] = g_split
             children.append(bound_child(C, ghat, beta))
         trace.append({"iter": iteration, "node_id": nid, "beta": beta,
-                      "alpha": inc_val, "action": "cut" if len(masks) else "nocut",
+                      "alpha": inc_val, "action": "cut" if cuts else "nocut",
                       "children": children, "cuts_total": cuts_added})
 
     if termination != "optimal":
-        closed_bounds.extend(entry[0] for entry in heap)
-    lower = min(closed_bounds) if closed_bounds else inc_val
+        lower = min(lower, heap[0][0])  # the least open bound
     final_gap = max(0.0, inc_val - lower)
 
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -336,9 +336,11 @@ def test_set_function_size_is_an_integer_of_at_least_one(n):
     (lambda n: setfn.cut(n, [(0, 1, 1.0)]), 2.5),
     (lambda n: setfn.table(n, [0.0, 1.0, 2.0, 3.0]), 2.0),
     (lambda n: gen_random_ds(n, "cut_minus_modular", 0), 2.5),
-], ids=["cut", "table", "gen_random_ds"])
+    (lambda n: setfn.coverage(n, [1.0], [[0], [0]]), 2.0),
+    (lambda n: setfn.cardinality_concave(n, [0.0, 1.0, 1.5]), 2.0),
+], ids=["cut", "table", "gen_random_ds", "coverage", "cardinality_concave"])
 def test_a_fractional_ground_set_size_is_refused_first(make, n):
-    # each shifted or seeded with n first and ended in a bare TypeError
+    # each shifted, seeded or ranged with n first and ended in a bare TypeError
     with pytest.raises(GroundSetError, match=re.escape(
             "ground set size must be an integer >= 1, got %r" % n)):
         make(n)

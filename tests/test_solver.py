@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -436,9 +437,15 @@ def test_limits_certify_the_gap_and_no_point_is_cut_twice(paper_search, monkeypa
     # optimal_value - final_gap <= min(f - g) <= optimal_value, is exact when
     # it ends optimal, and cuts each binary point at most once.  Without the
     # sweep the incumbent is not exact from the root on, so a wrong gap and a
-    # stale bound at selection (a point cut twice) both show
+    # stale bound at selection (a point cut twice) both show.  A bound is
+    # stale by the solve's own cut count: the polyhedron's rows are never
+    # counted (num_rows counts 2^n cut flags)
     if paper_search:
         cut_where_the_bound_is_decided(monkeypatch)
+    row_reads = []
+    num_rows = geometry.Polyhedron.num_rows
+    monkeypatch.setattr(geometry.Polyhedron, "num_rows",
+                        property(lambda P: row_reads.append(P) or num_rows.fget(P)))
     limits = ([{"max_iters": m} for m in (0, 1, 2)] + [{}]
               + [{"max_nodes": m} for m in (1, 2, 4, 8)])
     ends = {}
@@ -465,6 +472,34 @@ def test_limits_certify_the_gap_and_no_point_is_cut_twice(paper_search, monkeypa
                     if rep.termination_reason == "optimal":
                         assert rep.optimal_value <= best + tol
     assert set(ends) == {"optimal", "iteration_limit", "node_limit"}
+    assert row_reads == []
+
+
+def test_the_cut_rows_are_dead_when_the_children_are_bounded(monkeypatch):
+    # the arrays a cut step's cutting_plane returns (points cut, s, d) are
+    # read by add_cut and then dropped, so no bound program after them runs
+    # with the (points, n) rows held.  No observer: a cut event's row is a
+    # view of s, which the observer may keep
+    refs, checked = [], [0]
+    cutting_plane, solve_bound = solver.cutting_plane, solver.solve_bound
+
+    def cut(*args):
+        out = cutting_plane(*args)
+        refs.extend(weakref.ref(a) for a in out)
+        return out
+
+    def bound(*args):
+        assert [r for r in refs if r() is not None] == []
+        checked[0] += len(refs)
+        return solve_bound(*args)
+
+    monkeypatch.setattr(solver, "cutting_plane", cut)
+    monkeypatch.setattr(solver, "solve_bound", bound)
+    for family in FAMILIES:
+        inst = gen_random_ds(8, family, 0)
+        for anchor in (0, 255):
+            solve(inst.f, inst.g, SolverConfig(initial_vertex=anchor))
+    assert checked[0] > 0
 
 
 def test_binary_t_lo_of_solver_polyhedra():
