@@ -4,9 +4,10 @@ and greedy forward selection."""
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import binary_points
-from .setfn import (GroundSetError, as_table, chain_subgradient, first_min, is_integer,
-                    set_of)
+from .setfn import as_table, chain_subgradient, first_min, is_integer, same_ground_set, set_of
 
 
 def modular_lower_bound(g, current_mask, perm):
@@ -47,11 +48,9 @@ def ssp(f, g, init=0, seed=0):
     The chain permutation puts the current set first (ascending index) and
     the remaining elements in seeded-random order.
     """
-    if f.n != g.n:
-        raise GroundSetError("oracles live on different ground sets")
+    n = same_ground_set(f, g)
     if not is_integer(init):
         raise ValueError("init must be an integer mask, got %r" % (init,))
-    n = f.n
     fvals = as_table(f).table_values
     rng = random.Random(seed)
     current = int(init)
@@ -75,25 +74,15 @@ def ssp(f, g, init=0, seed=0):
 
 def greedy(f, g):
     """Forward selection on f - g: repeatedly add the element with the most
-    negative marginal change, smallest index on ties; stop when no addition
-    improves.  Returns (mask, value)."""
-    n = f.n
-    if f.n != g.n:
-        raise GroundSetError("oracles live on different ground sets")
-    current = 0
-    value = f(0) - g(0)
-    while True:
-        best_i = None
-        best_val = value - 1e-12
-        for i in range(n):
-            if (current >> i) & 1:
-                continue
-            m = current | (1 << i)
-            v = f(m) - g(m)
-            if v < best_val:
-                best_val = v
-                best_i = i
-        if best_i is None:
-            return current, value
-        current |= 1 << best_i
-        value = best_val
+    negative marginal change, smallest index on ties (``first_min`` over the
+    additions in ascending element order); stop when no addition improves.
+    Returns (mask, value)."""
+    n = same_ground_set(f, g)
+    current, value = 0, f(0) - g(0)
+    while current != (1 << n) - 1:
+        adds = [current | 1 << i for i in range(n) if not current >> i & 1]
+        j, best = first_min(np.array([f(m) - g(m) for m in adds]))
+        if not best < value - 1e-12:
+            break
+        current, value = adds[j], best
+    return current, value

@@ -20,8 +20,6 @@ from .numerics import least_squares
 from .setfn import as_table, brute_force_ds_min, is_submodular, make_function, set_of
 from .solver import solve
 
-FAMILIES = ("cut_minus_modular", "coverage_minus_coverage",
-            "nuclear_minus_residual", "table_random_submodular_pair")
 CORPUS_MAX_N = 10  # largest ground set gen_random_ds draws
 
 BENCH_FIELDS = ["method", "p", "n", "k", "lambda", "seed",
@@ -192,6 +190,7 @@ _GENERATORS = {
     "nuclear_minus_residual": _gen_nuclear_minus_residual,
     "table_random_submodular_pair": _gen_table_pair,
 }
+FAMILIES = tuple(_GENERATORS)  # the order seeds gen_random_ds
 
 
 def gen_random_ds(n, family, seed):

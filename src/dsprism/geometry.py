@@ -14,7 +14,7 @@ only into the binary points not cut yet.
 
 import numpy as np
 
-from .setfn import indicator
+from .setfn import BLOCK, indicator
 
 DEGENERACY_TOL = 1e-12
 # x lies in a simplex when every barycentric coordinate is >= -MEMBERSHIP_TOL
@@ -258,7 +258,13 @@ def add_cut(P, s, d, masks):
     at = np.flatnonzero(~cut)
     t_lo = P.t_lo.copy()
     t_lo[at] = _fold_cuts(s, d, X[at], t_lo[at])
-    own = np.matmul(s[:, None, :], X[masks][:, :, None])[:, 0, 0] + d
+    # each cut's own value s.z + d, BLOCK cuts at a time: the gathered
+    # points never add a (k, n) copy to the rows
+    own = np.empty(len(d))
+    for b in range(0, len(d), BLOCK):
+        own[b:b + BLOCK] = np.matmul(s[b:b + BLOCK, None, :],
+                                     X[masks[b:b + BLOCK]][:, :, None])[:, 0, 0]
+    own += d
     t_lo[masks] = np.maximum(t_lo[masks], own)
     Q = object.__new__(Polyhedron)
     Q.domain, Q.t_tilde = P.domain, P.t_tilde

@@ -24,6 +24,13 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _integer(what, value):
+    """value as an int; a GroundSetError names it unless it is an integer."""
+    if not is_integer(value):
+        raise GroundSetError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
 def ground_set_size(n):
     """n as an int; a GroundSetError names n unless it is an integer >= 1."""
     if not is_integer(n) or n < 1:
@@ -45,7 +52,7 @@ def mask_of(elements):
     """Bitmask for an iterable of element indices."""
     m = 0
     for i in elements:
-        i = int(i)
+        i = _integer("element index", i)
         if i < 0:
             raise GroundSetError("element index %d is negative" % i)
         m |= 1 << i
@@ -54,16 +61,26 @@ def mask_of(elements):
 
 def set_of(mask):
     """Sorted element indices of a bitmask."""
+    mask = _integer("mask", mask)
     if mask < 0:
         raise GroundSetError("mask %d is negative; a subset mask is nonnegative" % mask)
-    return [i for i in range(int(mask).bit_length()) if mask >> i & 1]
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def indicator(mask, n):
     """Characteristic vector of a subset as a float array."""
+    mask = _integer("mask", mask)
     if mask >> n:  # nonzero for a negative mask or one >= 2^n
         raise GroundSetError("mask %d outside ground set of size %d" % (mask, n))
     return np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
+
+
+def same_ground_set(f, g):
+    """The ground-set size n that the oracles f and g share; a
+    GroundSetError when they differ."""
+    if f.n != g.n:
+        raise GroundSetError("oracles live on different ground sets")
+    return f.n
 
 
 class SetFunction:
@@ -94,14 +111,16 @@ class SetFunction:
         self.table_values = table_values  # the values by mask, for table oracles
 
     def __call__(self, mask):
+        # a Python int in, a Python float out; converting only what is not
+        # one already halves the call's overhead
+        if type(mask) is not int:
+            mask = _integer("mask", mask)
         if mask >> self.n:
             raise GroundSetError("mask %d outside ground set of size %d" % (mask, self.n))
         fn = self._fn
         if fn is None:
             return float(self._kernel(np.array([mask], dtype=np.int64))[0])
-        # a Python int in, a Python float out; converting only what is not
-        # one already halves the call's overhead
-        value = fn(mask if type(mask) is int else int(mask))
+        value = fn(mask)
         return value if type(value) is float else float(value)
 
     def values(self, masks):
@@ -286,6 +305,8 @@ def nuclear(X, scale=1.0):
     X = _finite("X[%d, %d]", X, 2)
     n = X.shape[1]
     scale = float(_finite("scale", scale, 0))
+    if scale < 0:  # -||X_A||_* is supermodular
+        raise ValueError("scale must be nonnegative, got %r" % scale)
     Xt = np.ascontiguousarray(X.T)
 
     def block(cols):
@@ -376,7 +397,7 @@ def coverage(n, item_weights, covers):
     for i, items in enumerate(covers):
         cm = 0
         for u in items:
-            if not float(u).is_integer():
+            if isinstance(u, (bool, np.bool_)) or not float(u).is_integer():
                 raise ValueError("covers[%d] holds item %r; item indices must be integers"
                                  % (i, u))
             u = int(u)
@@ -455,18 +476,6 @@ def as_table(oracle):
 # Lovász extension
 
 
-def _split_binary(X):
-    """(binary, B, R) for a (k, n) block X: which rows are characteristic
-    vectors, those rows and the others, None for an empty part.  A part
-    that is the whole block is X itself: boolean indexing would dominate
-    the cost of a single point."""
-    binary = ((X == 0.0) | (X == 1.0)).all(axis=1)
-    k = np.count_nonzero(binary)
-    B = None if k == 0 else X if k == len(X) else X[binary]
-    R = None if k == len(X) else X if k == 0 else X[~binary]
-    return binary, B, R
-
-
 MASK_BITS = 63  # the largest ground set whose masks fit an int64
 
 
@@ -522,16 +531,16 @@ def lovasz(oracle, x):
     out = np.empty(len(X))
     # exact at characteristic vectors: the chain sum telescopes to the set
     # value, so a binary row takes that one value without accumulating
-    # rounding; every other row sums its chain with one x.diff dot
-    binary, B, R = _split_binary(X)
-    if B is not None:
-        out[binary] = oracle.values(_masks_of(B))
-    if R is not None:
-        order = _chain_order(R)
-        cv = _chain_values(oracle, order)
-        xo = R[np.arange(len(R))[:, None], order]
-        diff = cv[:, 1:] - cv[:, :-1]
-        out[~binary] = cv[:, 0] + np.matmul(xo[:, None, :], diff[:, :, None])[:, 0, 0]
+    # rounding; every other row sums its chain with one x.diff dot (an
+    # empty part costs nothing: values of no masks is an empty array)
+    binary = ((X == 0.0) | (X == 1.0)).all(axis=1)
+    out[binary] = oracle.values(_masks_of(X[binary]))
+    R = X[~binary]
+    order = _chain_order(R)
+    cv = _chain_values(oracle, order)
+    xo = R[np.arange(len(R))[:, None], order]
+    diff = cv[:, 1:] - cv[:, :-1]
+    out[~binary] = cv[:, 0] + np.matmul(xo[:, None, :], diff[:, :, None])[:, 0, 0]
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -557,17 +566,13 @@ def first_min(values):
 
 
 def brute_force_min(oracle):
-    """Exact minimizer by enumeration; ties broken to the smallest mask."""
-    n = oracle.n
-    if n > ENUM_CAP:
-        raise GroundSetError("ground set too large for exhaustive enumeration")
-    return first_min(oracle.values(np.arange(1 << n)))
+    """Exact minimizer over the oracle's table; ties to the smallest mask."""
+    return first_min(as_table(oracle).table_values)
 
 
 def brute_force_ds_min(f, g):
-    """Exact minimizer of f - g by enumeration; ties to the smallest mask."""
-    if f.n != g.n:
-        raise GroundSetError("oracles live on different ground sets")
+    """Exact minimizer of f - g over the tables; ties to the smallest mask."""
+    same_ground_set(f, g)
     return first_min(as_table(f).table_values - as_table(g).table_values)
 
 
@@ -577,8 +582,8 @@ def max_submodularity_violation(oracle):
     n = oracle.n
     if n > CHECK_CAP:
         raise GroundSetError("four-point check is exhaustive; n too large")
+    vals = as_table(oracle).table_values
     B = np.arange(1 << n)
-    vals = oracle.values(B)
     # 2^14 / 2^n sets A at a time: temporaries of at most 2^14 entries (128 KB),
     # which the allocator reuses where larger ones are mapped afresh
     rows = max(1, (1 << 14) >> n)
@@ -600,9 +605,7 @@ def ds_decompose(f, g):
     REPAIR_SLACK, which cannot set M, so M is the same float as from
     checking both sides.
     """
-    if f.n != g.n:
-        raise GroundSetError("oracles live on different ground sets")
-    n = f.n
+    n = same_ground_set(f, g)
     if n > CHECK_CAP:
         raise GroundSetError("ds_decompose may run the exhaustive four-point check, "
                              "so n <= %d; got n = %d" % (CHECK_CAP, n))

@@ -12,8 +12,8 @@ import numpy as np
 from .bound import INFEASIBLE, solve_bound, vertex_levels
 from .geometry import (Polyhedron, Simplex, add_cut, binary_points, initial_simplex,
                        subdivide)
-from .setfn import (BLOCK, GroundSetError, as_table, brute_force_min, check_nonnegative,
-                    first_min, indicator, is_integer, lovasz, lovasz_subgradient, set_of)
+from .setfn import (BLOCK, as_table, brute_force_min, check_nonnegative, first_min, indicator,
+                    is_integer, lovasz, lovasz_subgradient, same_ground_set, set_of)
 
 
 # a cut separates a point whose fhat exceeds its level by more than this
@@ -98,10 +98,8 @@ def _emit(observer, event, **data):
 
 def solve(f, g, config=None, observer=None):
     """Minimize f(A) - g(A) exactly over all subsets of the ground set."""
-    if f.n != g.n:
-        raise GroundSetError("oracles live on different ground sets")
+    n = same_ground_set(f, g)
     cfg = config or SolverConfig()
-    n = f.n
     anchor = cfg.initial_vertex
     if anchor >= 1 << n:
         raise ValueError("initial_vertex must be an integer mask in 0..%d, got %r"

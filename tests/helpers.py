@@ -9,8 +9,10 @@ test holds, ``cut_rows`` the rows a solve's cut events carry, and
 ``second_difference_by_pair`` and ``exhaustive_decompose`` are the per-pair
 and both-sides-checked forms of ``setfn._max_second_difference`` and
 ``setfn.ds_decompose``; ``set_subgradient`` is the closed form of
-``setfn.lovasz_subgradient`` at characteristic vectors.  The solver needs
-none of them.
+``setfn.lovasz_subgradient`` at characteristic vectors, and ``greedy_loop``
+the comparison-loop form of ``baselines.greedy``; ``submodular_mixture``
+draws the tables of random submodular functions.  The solver needs none of
+them.
 """
 
 import numpy as np
@@ -125,3 +127,42 @@ def set_subgradient(oracle, B):
     lo = a | (bit - 1)
     np.copyto(lo, a & (bit - 1), where=B == 1.0)
     return oracle.values(lo | bit) - oracle.values(lo)
+
+
+def submodular_mixture(n, seed, weights):
+    """weights[0] * modular + weights[1] * coverage + weights[2] * concave of
+    cardinality + weights[3] * cut, as a table."""
+    rng = np.random.default_rng(seed)
+    incs = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
+    edges = [(u, v, float(rng.uniform(0.1, 1.0)))
+             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    covers = [[u for u in range(2 * n) if rng.random() < 0.35] for _ in range(n)]
+    parts = [setfn.modular(rng.normal(size=n)),
+             setfn.coverage(n, rng.uniform(0.1, 1.0, size=2 * n), covers),
+             setfn.cardinality_concave(n, np.concatenate([[0.0], np.cumsum(incs)])),
+             setfn.cut(n, edges)]
+    masks = np.arange(1 << n)
+    return sum(w * p.values(masks) for w, p in zip(weights, parts))
+
+
+def greedy_loop(f, g):
+    """Forward selection on f - g by a comparison loop: add the element
+    whose addition is strictly below value - 1e-12 and least, the smallest
+    index on ties; stop when there is none."""
+    current = 0
+    value = f(0) - g(0)
+    while True:
+        best_i = None
+        best_val = value - 1e-12
+        for i in range(f.n):
+            if (current >> i) & 1:
+                continue
+            m = current | (1 << i)
+            v = f(m) - g(m)
+            if v < best_val:
+                best_val = v
+                best_i = i
+        if best_i is None:
+            return current, value
+        current |= 1 << best_i
+        value = best_val

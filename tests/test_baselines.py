@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from helpers import greedy_loop, submodular_mixture
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsprism import setfn
 from dsprism.baselines import _modular_min, greedy, modular_lower_bound, ssp
@@ -146,6 +149,18 @@ def test_greedy_worked_n1_and_dominance():
         _, best = brute_force_ds_min(as_table(inst.f), as_table(inst.g))
         assert value >= best - 1e-9
         assert value == pytest.approx(inst.f(mask) - inst.g(mask), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 7), st.integers(0, 2 ** 16),
+       st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=8, max_size=8),
+       st.sampled_from([0.25, 1.0]))
+def test_greedy_equals_the_comparison_loop(n, seed, weights, grid):
+    # first_min over the additions is the loop's strict <, smallest index on
+    # ties; the values lie on a coarse grid, so that additions tie
+    f, g = (setfn.table(n, np.round(submodular_mixture(n, seed + k, w) / grid) * grid)
+            for k, w in ((0, weights[:4]), (1, weights[4:])))
+    assert greedy(f, g) == greedy_loop(f, g)
 
 
 def test_greedy_tie_break_smallest_index():

@@ -1,6 +1,7 @@
 """Tests for simplices, subdivision and the outer-approximation polyhedron."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,27 @@ def test_polyhedron_size_does_not_grow_with_its_cuts():
                   if isinstance(getattr(Q, name), np.ndarray)]
         assert len(arrays) >= 2 and all(a.size == 1 << n for a in arrays)
         assert Q.num_rows == 1 + np.count_nonzero(Q.cut) == 38
+
+
+def test_add_cut_peak_memory_is_below_its_rows(monkeypatch):
+    # the cuts' own values are formed setfn.BLOCK cuts at a time, so no
+    # (k, n) gather of the cut points joins the rows s (with one gather the
+    # peak came to 1.2 times s), and the levels are the same to the bit
+    n = 14
+    f = setfn.table(n, np.random.default_rng(0).normal(size=1 << n))
+    masks = np.arange(1 << n)
+    P = Polyhedron(initial_simplex(n), float(np.min(f.table_values)) - 1.0)
+    _, s, d = cutting_plane(f, masks, P.t_lo)
+    tracemalloc.start()
+    try:
+        Q = add_cut(P, s, d, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.num_rows == 1 + (1 << n)
+    assert peak < s.nbytes
+    monkeypatch.setattr(geometry, "BLOCK", 1 << n)
+    assert add_cut(P, s, d, masks).t_lo.tobytes() == Q.t_lo.tobytes()
 
 
 def test_binary_bounds_match_t_interval():

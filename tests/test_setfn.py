@@ -73,11 +73,22 @@ def test_set_of_rejects_a_negative_mask(mask):
     (lambda: indicator(9, 3), "mask 9 outside ground set of size 3"),
     (lambda: indicator(-(1 << 70), 3), "mask -%d outside ground set" % (1 << 70)),
     (lambda: mask_of([0, -1]), "element index -1 is negative"),
+    (lambda: indicator(1.5, 3), "mask must be an integer, got 1.5"),
+    (lambda: set_of(2.5), "mask must be an integer, got 2.5"),
+    (lambda: mask_of([2.5]), "element index must be an integer, got 2.5"),
+    (lambda: mask_of([True]), "element index must be an integer, got True"),
+    (lambda: setfn.modular([1.0, 2.0])(True), "mask must be an integer, got True"),
+    (lambda: setfn.modular([1.0, 2.0])(2.0), "mask must be an integer, got 2.0"),
+    (lambda: setfn.nuclear(np.eye(2))(np.bool_(True)), r"mask must be an integer, got np\.True_"),
 ], ids=["indicator_negative", "indicator_beyond_n", "indicator_huge_negative",
-        "mask_of_negative"])
+        "mask_of_negative", "indicator_fraction", "set_of_fraction", "mask_of_fraction",
+        "mask_of_bool", "call_bool", "call_float", "kernel_call_bool"])
 def test_mask_helpers_reject_what_no_subset_is(call, message):
+    # a bool or a float is no subset, though >> and int() would take either
     with pytest.raises(GroundSetError, match=message):
         call()
+    f = setfn.modular([1.0, 2.0])  # numpy integers stay masks
+    assert f(np.int64(3)) == f(np.uint8(3)) == 3.0 and set_of(np.uint8(3)) == [0, 1]
 
 
 def test_modular_and_cut_values():
@@ -294,10 +305,12 @@ def test_non_finite_values_rejected_with_mask(bad):
     vals = [0.0, 1.0, 2.0, 3.0, 4.0, bad, 6.0, bad]
     with pytest.raises(ValueError, match="mask 5 "):
         setfn.table(3, vals)
-    # an oracle that computes a non-finite value fails when tabulated
+    # an oracle that computes a non-finite value fails when tabulated, also
+    # by brute force, which reads the table
     f = setfn.SetFunction(3, lambda m: vals[m], name="bad")
-    with pytest.raises(ValueError, match="mask 5 "):
-        as_table(f)
+    for tabulate in (as_table, brute_force_min):
+        with pytest.raises(ValueError, match="mask 5 "):
+            tabulate(f)
 
 
 def test_coverage_values():
@@ -683,6 +696,16 @@ def test_constructors_reject_non_finite_parameters(build, message, bad):
         build(bad)
 
 
+def test_nuclear_refuses_a_negative_scale():
+    # -||X_A||_* is supermodular, so a negative scale contradicts
+    # submodular=True; a spec is refused the same way
+    for build in (lambda: setfn.nuclear(np.eye(2), scale=-1.0),
+                  lambda: make_function({"type": "nuclear", "X": [[1, 0], [0, 1]], "scale": -1})):
+        with pytest.raises(ValueError, match=r"scale must be nonnegative, got -1\.0"):
+            build()
+    assert setfn.nuclear(np.eye(2), scale=0.0)(3) == 0.0
+
+
 def test_cardinality_concave_spec_round_trip():
     f = setfn.cardinality_concave(3, [0.0, 1.0, 1.5, 1.75])
     for g in (make_function(f.spec), make_function(f.spec, n=3),
@@ -766,5 +789,9 @@ def test_coverage_rejects_fractional_items():
         setfn.coverage(2, [1.0, 2.0], [[0.9], [1.2]])
     with pytest.raises(ValueError, match=r"covers\[1\] holds item 1\.2"):
         setfn.coverage(2, [1.0, 2.0], [[1.0], [1.2]])
+    for item in (True, np.bool_(False)):  # a bool covered item 1 or 0
+        with pytest.raises(ValueError, match=r"covers\[0\] holds item %s; item indices must"
+                           % re.escape(repr(item))):
+            setfn.coverage(1, [1.0, 2.0], [[item]])
     f = setfn.coverage(2, [1.0, 2.0], [[1.0], [0]])  # integral floats stay accepted
     assert f.spec["covers"] == [[1], [0]] and f(0b01) == 2.0

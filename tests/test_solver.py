@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dsprism import geometry, setfn, solver
+from dsprism.baselines import greedy, ssp
 from dsprism.experiments import FAMILIES, gen_random_ds
 from dsprism.geometry import barycentric, binary_points
 from dsprism.setfn import as_table, brute_force_ds_min, indicator, lovasz
@@ -65,9 +66,11 @@ def test_n2_cut_minus_modular():
     assert rep.optimal_value == pytest.approx(-1.5)
 
 
-def test_ground_set_mismatch():
-    with pytest.raises(setfn.GroundSetError):
-        solve(setfn.modular([1.0]), setfn.modular([1.0, 2.0]))
+@pytest.mark.parametrize("entry", [solve, ssp, greedy, setfn.brute_force_ds_min,
+                                   setfn.ds_decompose], ids=lambda entry: entry.__name__)
+def test_ground_set_mismatch(entry):
+    with pytest.raises(setfn.GroundSetError, match="oracles live on different ground sets"):
+        entry(setfn.modular([1.0]), setfn.modular([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("field", ["eps"])

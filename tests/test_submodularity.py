@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import exhaustive_decompose, second_difference_by_pair
+from helpers import exhaustive_decompose, second_difference_by_pair, submodular_mixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,22 +40,6 @@ def pair_terms(n):
     """floor(n/2) * ceil(n/2): the most second differences one four-point
     difference telescopes into."""
     return (n // 2) * ((n + 1) // 2)
-
-
-def submodular_mixture(n, seed, weights):
-    """weights[0] * modular + weights[1] * coverage + weights[2] * concave of
-    cardinality + weights[3] * cut, as a table."""
-    rng = np.random.default_rng(seed)
-    incs = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
-    edges = [(u, v, float(rng.uniform(0.1, 1.0)))
-             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-    covers = [[u for u in range(2 * n) if rng.random() < 0.35] for _ in range(n)]
-    parts = [setfn.modular(rng.normal(size=n)),
-             setfn.coverage(n, rng.uniform(0.1, 1.0, size=2 * n), covers),
-             setfn.cardinality_concave(n, np.concatenate([[0.0], np.cumsum(incs)])),
-             setfn.cut(n, edges)]
-    masks = np.arange(1 << n)
-    return sum(w * p.values(masks) for w, p in zip(weights, parts))
 
 
 @st.composite
