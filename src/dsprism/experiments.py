@@ -77,9 +77,8 @@ class FsInstanceSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("p", "n_samples", "k", "seed"):
-            if not setfn.is_integer(getattr(self, name)):
-                raise ValueError("%s must be an integer, got %r" % (name, getattr(self, name)))
+        for name in ("p", "n_samples", "k", "seed"):  # numpy takes a seed >= 0
+            setfn.check_count(name, getattr(self, name))
         setfn.check_nonnegative("lam", self.lam)
         if not (0 < self.k <= self.p) or self.n_samples <= 0:
             raise ValueError("invalid feature-selection spec: need 0 < k <= p and "
@@ -199,6 +198,7 @@ def gen_random_ds(n, family, seed):
     decided from the local second differences) before release, and a
     draw that fails raises RuntimeError."""
     n = setfn.ground_set_size(n)
+    setfn.check_count("seed", seed)  # a negative one fails in numpy or reuses another draw
     if family not in _GENERATORS:
         raise ValueError("unknown family %r" % family)
     if n > CORPUS_MAX_N:
@@ -251,11 +251,13 @@ def run_bench(p=10, n_samples=40, k=3, lambdas=(0.25, 0.5, 1.0, 2.0), reps=10,
     Rows follow BENCH_FIELDS in deterministic (rep, lambda, method) order;
     aggregates are per-(method, lambda) means.
     """
+    for lam in lambdas:
+        setfn.check_nonnegative("lambda", lam)  # f = lam * ||X_A||_* is submodular
     rows = []
     for rep in range(reps):
         base = gen_feature_selection(FsInstanceSpec(p=p, n_samples=n_samples, k=k,
                                                     lam=1.0, seed=seed + rep))
-        nuc = as_table(setfn.nuclear(base.X, scale=1.0))
+        nuc = as_table(base.f)  # f at lam = 1: ||X_A||_*
         res = as_table(base.g)
         for lam in lambdas:
             f, g = setfn.table(p, lam * nuc.table_values), res

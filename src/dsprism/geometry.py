@@ -184,8 +184,8 @@ def _fold_cuts(s, d, X, t_lo):
 
 
 class CutPointError(ValueError):
-    """Cuts whose s is not one row of n per d, or cut points that are not
-    one binary point per cut, each distinct and not cut before."""
+    """Cuts whose s is not one finite row of n per finite d, or cut points
+    that are not one binary point per cut, each distinct and not cut before."""
 
 
 class Polyhedron:
@@ -208,6 +208,8 @@ class Polyhedron:
     def __init__(self, domain, t_tilde):
         """The domain with the floor t >= t_tilde and no cuts."""
         self.domain, self.t_tilde = domain, float(t_tilde)
+        if not np.isfinite(self.t_tilde):
+            raise ValueError("t_tilde must be finite, got %r" % t_tilde)
         self.t_lo = _read_only(np.full(1 << domain.n, self.t_tilde))
         self.cut = _read_only(np.zeros(1 << domain.n, dtype=bool))
 
@@ -230,8 +232,8 @@ def add_cut(P, s, d, masks):
     into t_lo at once: at the points not cut yet, and at each new cut point
     as the larger of its value before and the cut's own value s.z + d.  The
     rows themselves are not kept.  A binary point is cut at most once: a
-    mask outside the cube, given twice or cut before, or an s of another
-    shape, raises CutPointError.
+    mask outside the cube, given twice or cut before, an s of another
+    shape, or a cut that is not finite raises CutPointError.
     """
     s, d = np.asarray(s, dtype=float), np.asarray(d, dtype=float)
     n = P.domain.n
@@ -246,6 +248,10 @@ def add_cut(P, s, d, masks):
     if outside.any():
         raise CutPointError("cut point mask %d outside 0..%d"
                             % (masks[outside != 0][0], (1 << n) - 1))
+    # min and max carry nan and inf, and need no temporary the size of s
+    if d.size and not np.isfinite([s.min(), s.max(), d.min(), d.max()]).all():
+        j = int(np.argmin(np.isfinite(s.reshape(-1, n)).all(axis=1) & np.isfinite(d.reshape(-1))))
+        raise CutPointError("cut %d at mask %d is not finite" % (j, masks[j]))
     cut = P.cut.copy()
     cut[masks] = True
     if np.count_nonzero(cut) != np.count_nonzero(P.cut) + masks.size:

@@ -48,6 +48,14 @@ def check_nonnegative(name, value):
         raise ValueError("%s must be finite and nonnegative, got %r" % (name, value))
 
 
+def check_count(name, value):
+    """A ValueError names value unless it is an integer >= 0 (a bool is not)."""
+    if not is_integer(value):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < 0:
+        raise ValueError("%s must be nonnegative, got %r" % (name, value))
+
+
 def mask_of(elements):
     """Bitmask for an iterable of element indices."""
     m = 0

@@ -12,8 +12,8 @@ import numpy as np
 from .bound import INFEASIBLE, solve_bound, vertex_levels
 from .geometry import (Polyhedron, Simplex, add_cut, binary_points, initial_simplex,
                        subdivide)
-from .setfn import (BLOCK, as_table, brute_force_min, check_nonnegative, first_min, indicator,
-                    is_integer, lovasz, lovasz_subgradient, same_ground_set, set_of)
+from .setfn import (BLOCK, as_table, brute_force_min, check_count, check_nonnegative,
+                    first_min, indicator, lovasz, lovasz_subgradient, same_ground_set, set_of)
 
 
 # a cut separates a point whose fhat exceeds its level by more than this
@@ -30,15 +30,11 @@ class SolverConfig:
     def __post_init__(self):
         check_nonnegative("eps", self.eps)
         for name in ("max_iters", "max_nodes", "initial_vertex"):
-            value = getattr(self, name)
             # NaN or a fraction never fires as a limit, nor names a vertex
-            if not is_integer(value):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
-            if value < 0:
-                raise ValueError("%s must be nonnegative, got %r" % (name, value))
+            check_count(name, getattr(self, name))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     simplex: Simplex  # base of the node's prism
     ghat: np.ndarray  # Lovasz extension of g at the simplex vertices
@@ -154,20 +150,23 @@ def solve(f, g, config=None, observer=None):
         return "bound" if bound_rule(beta) else None
 
     def close(nid, reason, S, beta):
-        """Delete a region; all but dr1 (empty region) certify beta."""
+        """Delete a region; its beta certifies it (inf for dr1, an empty region)."""
         nonlocal lower
         deleted[reason] += 1
-        if reason != "dr1":
-            lower = min(lower, beta)
+        lower = min(lower, beta)
         _emit(observer, "delete", node_id=nid, reason=reason, simplex=S,
               bound_value=beta, alpha=inc_val)
 
-    def bound_region(nid, S, ghat, beta, new):
-        """Bound region nid (simplex S, ghat at its vertices, stored bound
-        beta) against the current P and feed its binary points to the
-        incumbent; a new region reports a node_bound event.  Closes the
-        region when a deletion rule applies.  Returns (bound result,
-        tightened beta, deletion reason or None)."""
+    def bound_region(S, ghat, beta, nid=None):
+        """Bound a region (simplex S, ghat at its vertices, bound beta so far)
+        against the current P and feed its binary points to the incumbent;
+        a new region (nid None) takes the next id and reports a node_bound
+        event.  A deletion rule closes the region, else it opens with the
+        tightened bound.  Returns its trace entry."""
+        nonlocal nodes_created
+        new = nid is None
+        if new:
+            nid, nodes_created = nodes_created, nodes_created + 1
         levels = vertex_levels(ghat, inc_val)
         res = solve_bound(S, P, levels, gt)
         update_incumbent(res.feasible_points)
@@ -176,27 +175,17 @@ def solve(f, g, config=None, observer=None):
                   levels=levels, bound=res, alpha=inc_val, parent_beta=beta)
         beta = max(beta, res.beta)  # inf when infeasible
         reason = classify(res, beta)
-        if reason is not None:
-            close(nid, reason, S, beta)
-        return res, beta, reason
-
-    def bound_child(S, ghat, parent_beta):
-        """Bound a new region and open it unless a deletion rule closes it
-        (its certified bound folded into lower); returns its trace entry."""
-        nonlocal nodes_created
-        nid = nodes_created
-        nodes_created += 1
-        res, beta, reason = bound_region(nid, S, ghat, parent_beta, new=True)
         if reason is None:
-            heapq.heappush(heap, (beta, nid, Node(simplex=S, ghat=ghat, bound=res,
-                                                  cuts_seen=cuts_added)))
+            heapq.heappush(heap, (beta, nid, Node(S, ghat, res, cuts_added)))
+        else:
+            close(nid, reason, S, beta)
         return {"id": nid, "status": res.status, "c_star": res.c_star,
                 "beta": None if reason == "dr1" else beta, "deleted_by": reason}
 
     # ghat in full at S0's vertices only: a child shares all but one vertex
     # with its parent, and lovasz values each row on its own, so the
     # child's ghat is its parent's with the replaced vertex re-evaluated
-    root_entry = bound_child(S0, lovasz(gt, S0.vertices), -np.inf)
+    root_entry = bound_region(S0, lovasz(gt, S0.vertices), -np.inf)
     trace = [{"iter": -1, "node_id": root_entry["id"], "beta": root_entry["beta"],
               "alpha": inc_val, "action": "root", "children": [root_entry],
               "cuts_total": cuts_added}]
@@ -209,24 +198,18 @@ def solve(f, g, config=None, observer=None):
         if nodes_created >= cfg.max_nodes:
             termination = "node_limit"
             break
-        # best-first selection; the bound rule closes an open region here and
-        # only here.  A bound stored before the latest cuts is refreshed against
-        # the current P (cuts only tighten it), so regions that close under the
-        # grown polyhedron are deleted without expansion
+        # best-first selection.  A bound stored before the latest cuts is
+        # re-bounded against the current P (cuts only tighten it): the region
+        # closes or goes back, and the heap picks again.  One whose bound did
+        # not tighten keeps its key, the least, and is popped straight back
         beta, nid, node = heapq.heappop(heap)
         S = node.simplex
         if bound_rule(beta):
             close(nid, "bound", S, beta)
             continue
         if cuts_added > node.cuts_seen:
-            node.bound, new_beta, reason = bound_region(nid, S, node.ghat, beta, new=False)
-            node.cuts_seen = cuts_added
-            if reason is not None:
-                continue
-            if new_beta > beta:
-                # tightened but maybe no longer the best node: reinsert
-                heapq.heappush(heap, (new_beta, nid, node))
-                continue
+            bound_region(S, node.ghat, beta, nid)
+            continue
         iteration += 1
         _emit(observer, "select", node_id=nid, beta=beta, alpha=inc_val,
               iteration=iteration)
@@ -262,7 +245,7 @@ def solve(f, g, config=None, observer=None):
         for i, C in split:
             ghat = node.ghat.copy()
             ghat[i] = g_split
-            children.append(bound_child(C, ghat, beta))
+            children.append(bound_region(C, ghat, beta))
         trace.append({"iter": iteration, "node_id": nid, "beta": beta,
                       "alpha": inc_val, "action": "cut" if cuts else "nocut",
                       "children": children, "cuts_total": cuts_added})

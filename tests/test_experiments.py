@@ -27,10 +27,12 @@ def test_fs_spec_validation():
     ("p", 2.5, "p must be an integer, got 2.5"),
     ("p", 3.0, "p must be an integer, got 3.0"),
     ("lam", float("nan"), "lam must be finite and nonnegative, got nan"),
-], ids=["p_fraction", "p_float", "lam_nan"])
+    ("seed", -1, "seed must be nonnegative, got -1"),
+], ids=["p_fraction", "p_float", "lam_nan", "seed_negative"])
 def test_fs_spec_refuses_a_bad_scalar(field, value, message):
-    # a float p failed in numpy inside gen_feature_selection, and a NaN lam
-    # passed until nuclear checked its scale
+    # a float p or a negative seed failed in numpy inside
+    # gen_feature_selection, and a NaN lam passed until nuclear checked its
+    # scale
     fields = dict(dict(p=5, n_samples=10, k=2, lam=1.0, seed=0), **{field: value})
     with pytest.raises(ValueError, match=re.escape(message)):
         FsInstanceSpec(**fields)
@@ -84,6 +86,19 @@ def test_gen_random_ds_draws_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-10**6, "seed must be nonnegative, got -1000000"),
+    (-1, "seed must be nonnegative, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+], ids=["large_negative", "negative", "fraction", "bool"])
+def test_gen_random_ds_refuses_a_seed_numpy_cannot_take(seed, message):
+    # a large negative seed or a fraction failed inside numpy, and -1 seeded
+    # the generator of n - 1, seed 7918
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gen_random_ds(4, "cut_minus_modular", seed)
+
+
 def _raw_matrix_instance(kind):
     """The raw oracle of kind minus a raw residual, on one design."""
     rng = np.random.default_rng(4)
@@ -122,6 +137,18 @@ def test_run_bench_orderings_and_schema():
     for r in rows:
         assert r["train_err"] >= 0.0 and r["test_err"] >= 0.0
         assert bin(mask_of(range(r["card"]))).count("1") == r["card"]
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_run_bench_refuses_a_lambda_before_any_rep(lam, monkeypatch):
+    # a negative lambda made f = lam * ||X_A||_* supermodular, and a NaN one
+    # failed at a set-function value without naming lambda
+    draws = []
+    monkeypatch.setattr(experiments, "gen_feature_selection", lambda spec: draws.append(spec))
+    with pytest.raises(ValueError, match=re.escape("lambda must be finite and nonnegative, "
+                                                   "got %r" % lam)):
+        run_bench(p=4, n_samples=6, k=2, lambdas=(1.0, lam), reps=1)
+    assert draws == []
 
 
 def test_bench_csv_roundtrip():

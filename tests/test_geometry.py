@@ -435,6 +435,30 @@ def test_add_cut_cuts_a_point_once():
     assert np.array_equal(np.flatnonzero(Q.cut), [3, 5, 9])
 
 
+@pytest.mark.parametrize("s, d, masks, match", [
+    ([np.nan, 0.0], 0.0, 1, "cut 0 at mask 1 is not finite"),
+    ([0.0, 0.0], np.inf, 1, "cut 0 at mask 1 is not finite"),
+    ([[0.0, 1.0], [-np.inf, 0.0]], [0.0, 0.0], [2, 3], "cut 1 at mask 3 is not finite"),
+    ([[0.0, 1.0], [0.0, 0.0]], [np.nan, -np.inf], [3, 0], "cut 0 at mask 3 is not finite"),
+], ids=["nan_row", "inf_constant", "second_row", "both_constants"])
+def test_add_cut_rejects_a_cut_that_is_not_finite(s, d, masks, match, monkeypatch):
+    # refused by name before any arithmetic: an inf times a 0 coordinate
+    # would warn in the own-value matmul, and a fold would make every level
+    # nan or inf
+    P = Polyhedron(initial_simplex(2), t_tilde=0.0)
+    folds = []
+    monkeypatch.setattr(geometry, "_fold_cuts", lambda *args: folds.append(args))
+    with pytest.raises(CutPointError, match=match):
+        add_cut(P, s, d, masks)
+    assert folds == [] and P.num_rows == 1 and np.all(P.t_lo == 0.0)
+
+
+@pytest.mark.parametrize("t_tilde", [np.nan, np.inf, -np.inf])
+def test_polyhedron_floor_must_be_finite(t_tilde):
+    with pytest.raises(ValueError, match="t_tilde must be finite"):
+        Polyhedron(initial_simplex(2), t_tilde)
+
+
 def test_initial_simplex_inverse_in_closed_form():
     # lambda_i = sigma_i (x_i - a_i) / n at the vertex a + n sigma_i e_i and
     # lambda_0 = 1 - sum(lambda_i): every anchor up to n = 6, the anchors 0

@@ -2,8 +2,10 @@
 
 import dataclasses
 import itertools
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,12 @@ from dsprism.geometry import barycentric, binary_points
 from dsprism.setfn import as_table, brute_force_ds_min, indicator, lovasz
 from dsprism.solver import FEAS_TOL, SolverConfig, cutting_plane, solve
 from helpers import cut_rows, kelley
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+try:
+    from identity_hash import cut_where_the_bound_is_decided
+finally:
+    sys.path.pop(0)
 
 
 def worked_pair():
@@ -261,11 +269,27 @@ def test_alpha_history_nonincreasing_and_gap():
     assert rep.final_gap <= 1e-9 * max(1.0, abs(rep.optimal_value))
 
 
-def test_trace_beta_nondecreasing():
-    inst = gen_random_ds(5, "table_random_submodular_pair", 1)
-    rep = solve(inst.f, inst.g)
-    betas = [t["beta"] for t in rep.trace if t["iter"] >= 1]
-    assert all(b >= a - 1e-12 for a, b in zip(betas, betas[1:]))
+@pytest.mark.parametrize("paper_search", [False, True], ids=["sweep", "paper_search"])
+def test_trace_beta_nondecreasing(paper_search, monkeypatch):
+    # best-first selection never selects a smaller bound than before, also
+    # when regions are re-bounded at selection.  The sweep makes one
+    # iteration; the paper's search on nuclear n = 8 makes 35 and re-bounds
+    # stale regions (more bound calls than new regions)
+    if paper_search:
+        use_the_paper_search(monkeypatch)
+    inner = solver.solve_bound
+    calls = []
+    monkeypatch.setattr(solver, "solve_bound", lambda *args: calls.append(1) or inner(*args))
+    for family, n, seed in (("table_random_submodular_pair", 5, 1),
+                            ("nuclear_minus_residual", 8, 0)):
+        calls.clear()
+        inst = gen_random_ds(n, family, seed)
+        rep = solve(inst.f, inst.g)
+        betas = [t["beta"] for t in rep.trace if t["iter"] >= 1]
+        assert len(betas) == rep.iterations
+        assert all(b >= a for a, b in zip(betas, betas[1:]))
+    if paper_search:
+        assert rep.iterations > 30 and len(calls) > rep.nodes_created
 
 
 def test_never_deletes_the_optimum_prematurely():
@@ -361,23 +385,10 @@ def test_no_binary_point_is_cut_twice():
                     assert rep.cuts_added <= (1 << n) - 1
 
 
-def cut_where_the_bound_is_decided(monkeypatch):
-    """Run the paper's search instead of the root sweep: each bound program
-    hands the solver only its witness and the first argmin of t_lo - g among
-    its binary points, the point that decides the direct bound.  The solver
-    then feeds the incumbent and cuts only those two points."""
-    inner = solver.solve_bound
-
-    def solve_bound(S, P, levels, g):
-        res = inner(S, P, levels, g)
-        masks = res.feasible_points
-        if len(masks) == 0:
-            return res
-        j = int(np.argmin(P.t_lo[masks] - g.values(masks)))
-        at = np.searchsorted(masks, np.unique([res.witness_mask, masks[j]]))
-        return dataclasses.replace(res, feasible_points=masks[at])
-
-    monkeypatch.setattr(solver, "solve_bound", solve_bound)
+def use_the_paper_search(monkeypatch):
+    """Run the paper's search instead of the root sweep (see
+    tools/identity_hash.py)."""
+    monkeypatch.setattr(solver, "solve_bound", cut_where_the_bound_is_decided(solver.solve_bound))
 
 
 @pytest.mark.parametrize("paper_search", [False, True], ids=["sweep", "paper_search"])
@@ -386,7 +397,7 @@ def test_a_selection_reads_f_once_at_each_point_of_its_bound(paper_search, monke
     # bound program handed on: one read serves the separation test and the
     # cuts' d (the Lovasz chains of the cut points are read as a 2-d block)
     if paper_search:
-        cut_where_the_bound_is_decided(monkeypatch)
+        use_the_paper_search(monkeypatch)
     log = []
 
     class Logged(setfn.SetFunction):
@@ -444,7 +455,7 @@ def test_limits_certify_the_gap_and_no_point_is_cut_twice(paper_search, monkeypa
     # stale by the solve's own cut count: the polyhedron's rows are never
     # counted (num_rows counts 2^n cut flags)
     if paper_search:
-        cut_where_the_bound_is_decided(monkeypatch)
+        use_the_paper_search(monkeypatch)
     row_reads = []
     num_rows = geometry.Polyhedron.num_rows
     monkeypatch.setattr(geometry.Polyhedron, "num_rows",

@@ -12,6 +12,13 @@ once at 2^n - 1.  For each anchor it prints two SHA-256 digests:
 - ``answers``: only each solve's optimal set and value, termination reason,
   counters and ``final_gap``.
 
+These four lines come first.  Four ``paper-search`` lines follow: the same
+digests over n = 1..min(N, 8) for the paper's search, where each bound
+program hands on only the two points that decide it
+(``cut_where_the_bound_is_decided``) instead of the root's sweep of the
+cube.  That search re-bounds stale regions at selection, which the sweep
+never does.
+
 Arrays, and the arrays inside simplices, polyhedra and bound results, are
 hashed by dtype, shape and bytes, and floats by their bits, so two digests
 agree only when the runs agree bit for bit.  ``--src`` imports dsprism from
@@ -29,12 +36,33 @@ import sys
 from pathlib import Path
 
 MAX_N = 10
+PAPER_MAX_N = 8  # the paper's search to n = 10 takes about nine times as long
 GRID_SEEDS = range(7)
 # None keeps SolverConfig's default
 GRID_MAX_ITERS = (None, 0, 1)
 ANSWER_FIELDS = ("optimal_set", "optimal_value", "termination_reason", "iterations",
                  "nodes_created", "nodes_explored", "deleted_dr1", "deleted_dr2",
                  "deleted_bound", "cuts_added", "final_gap")
+
+
+def cut_where_the_bound_is_decided(solve_bound):
+    """The paper's search in place of the root sweep: wraps solve_bound so
+    each bound program hands the solver only its witness and the first
+    argmin of t_lo - g among its binary points, the point that decides the
+    direct bound.  The solver then feeds the incumbent and cuts only those
+    two points."""
+    import numpy as np
+
+    def paper_bound(S, P, levels, g):
+        res = solve_bound(S, P, levels, g)
+        masks = res.feasible_points
+        if len(masks) == 0:
+            return res
+        j = int(np.argmin(P.t_lo[masks] - g.values(masks)))
+        at = np.searchsorted(masks, np.unique([res.witness_mask, masks[j]]))
+        return dataclasses.replace(res, feasible_points=masks[at])
+
+    return paper_bound
 
 
 def feed(h, obj):
@@ -72,14 +100,10 @@ def feed(h, obj):
         raise TypeError("cannot hash %r" % type(obj))
 
 
-def digests(max_n=MAX_N):
-    """{anchor name: (full digest, answers digest)} over the grid of
-    n = 1..max_n."""
-    from dsprism.experiments import FAMILIES, gen_random_ds
+def grid_digests(instances):
+    """{anchor name: (full digest, answers digest)} over solving instances."""
     from dsprism.solver import SolverConfig, solve
 
-    instances = [gen_random_ds(n, family, seed)
-                 for n in range(1, max_n + 1) for family in FAMILIES for seed in GRID_SEEDS]
     out = {}
     for anchor in ("0", "2^n-1"):
         full, answers = hashlib.sha256(), hashlib.sha256()
@@ -102,6 +126,26 @@ def digests(max_n=MAX_N):
     return out
 
 
+def digests(max_n=MAX_N):
+    """{(search, anchor name): (full digest, answers digest)}: the sweep
+    over the grid of n = 1..max_n, then the paper's search over
+    n = 1..min(max_n, PAPER_MAX_N)."""
+    from dsprism import solver
+    from dsprism.experiments import FAMILIES, gen_random_ds
+
+    instances = [gen_random_ds(n, family, seed)
+                 for n in range(1, max_n + 1) for family in FAMILIES for seed in GRID_SEEDS]
+    out = {("sweep", anchor): d for anchor, d in grid_digests(instances).items()}
+    sweep_bound = solver.solve_bound
+    solver.solve_bound = cut_where_the_bound_is_decided(sweep_bound)
+    try:
+        paper = grid_digests([inst for inst in instances if inst.n <= PAPER_MAX_N])
+    finally:
+        solver.solve_bound = sweep_bound
+    out.update((("paper-search", anchor), d) for anchor, d in paper.items())
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -115,9 +159,10 @@ def main(argv=None):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.path.insert(0, args.src)
-    for anchor, (full, answers) in digests(args.max_n).items():
-        print("anchor %-5s full %s" % (anchor, full))
-        print("anchor %-5s answers %s" % (anchor, answers))
+    for (search, anchor), (full, answers) in digests(args.max_n).items():
+        prefix = "" if search == "sweep" else search + " "
+        print("%sanchor %-5s full %s" % (prefix, anchor, full))
+        print("%sanchor %-5s answers %s" % (prefix, anchor, answers))
 
 
 if __name__ == "__main__":
